@@ -89,7 +89,7 @@ func run(args []string, out *os.File) error {
 	storePath := fs.String("store", "", "persist each cell's assembled provenance into durable store files at this path prefix (suffix: -<query>-<mode>[-inter]); query them with genealog-prov")
 	remoteStore := fs.String("remote-store", "", "stream each cell's assembled provenance to the store node at this address (spe-node -store-listen); query it live with genealog-prov -connect")
 	verbose := fs.Bool("v", false, "print the physical plan of every (query, mode) cell before running")
-	codec := fs.String("codec", "gob", "inter-process link codec: gob | binary")
+	codec := fs.String("codec", "binary", "inter-process link codec: binary | gob")
 	timeout := fs.Duration("timeout", 30*time.Minute, "overall deadline")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -125,7 +125,7 @@ func run(args []string, out *os.File) error {
 		AdaptiveBatch:       *adaptive,
 		AdaptiveMinBatch:    *adaptiveMin,
 		AdaptiveMaxBatch:    *adaptiveMax,
-		UseBinaryCodec:      *codec == "binary",
+		UseGobCodec:         *codec == "gob",
 		NoFusion:            !*fuse,
 		NoVectorize:         !*vectorize,
 		StorePath:           *storePath,
@@ -135,7 +135,7 @@ func run(args []string, out *os.File) error {
 		return fmt.Errorf("-store and -remote-store are mutually exclusive")
 	}
 	if *codec != "gob" && *codec != "binary" {
-		return fmt.Errorf("unknown codec %q (want gob or binary)", *codec)
+		return fmt.Errorf("unknown codec %q (want binary or gob)", *codec)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

@@ -13,6 +13,10 @@
 // then role 1 (senders retry while listeners come up, so any order works in
 // practice).
 //
+// Links use the binary codec unless -codec gob is given; every role of a
+// deployment must run the same codec (and the same -adaptive mode), or the
+// receiving side cannot decode what the sending side frames.
+//
 // Example (three shells, one query):
 //
 //	spe-node -query Q1 -mode GL -role 3 -base-port 7400
@@ -87,7 +91,7 @@ func run(args []string) error {
 	spe2 := fs.String("spe2", "127.0.0.1", "host of SPE instance 2 (used by role 1)")
 	spe3 := fs.String("spe3", "127.0.0.1", "host of SPE instance 3 (used by roles 1 and 2)")
 	scale := fs.Int("scale", 1, "workload scale multiplier")
-	codec := fs.String("codec", "gob", "link codec: gob | binary (all roles must agree)")
+	codec := fs.String("codec", "binary", "link codec: binary | gob (all roles must agree)")
 	adaptive := fs.Bool("adaptive", false, "adaptive batch sizing: an AIMD controller resizes this instance's stream batch sizes live (all roles must agree so link framing matches)")
 	adaptiveMax := fs.Int("adaptive-max", harness.DefaultAdaptiveMaxBatch, "adaptive batch sizing: largest batch size the controller may grow to")
 	storeAddr := fs.String("store", "", "role 3: stream assembled provenance to the store node at this address (spe-node -store-listen)")
@@ -157,11 +161,11 @@ func run(args []string) error {
 
 	var linkOpts []transport.LinkOption
 	switch *codec {
-	case "gob":
 	case "binary":
-		linkOpts = append(linkOpts, transport.WithCodec(transport.BinaryCodec{}))
+	case "gob":
+		linkOpts = append(linkOpts, transport.WithCodec(transport.GobCodec{}))
 	default:
-		return fmt.Errorf("unknown codec %q (want gob or binary)", *codec)
+		return fmt.Errorf("unknown codec %q (want binary or gob)", *codec)
 	}
 	var telem *telemetry.Registry
 	if *telemetryListen != "" {

@@ -139,9 +139,9 @@ type Options struct {
 	// (defaults 1 and DefaultAdaptiveMaxBatch).
 	AdaptiveMinBatch int
 	AdaptiveMaxBatch int
-	// UseBinaryCodec switches inter-process links from the gob codec to the
-	// hand-rolled binary codec (the serialisation ablation).
-	UseBinaryCodec bool
+	// UseGobCodec switches inter-process links from the default hand-rolled
+	// binary codec to encoding/gob (the serialisation ablation).
+	UseGobCodec bool
 	// NoFusion disables the physical query planner (query.WithFusion):
 	// every logical operator materialises as its own goroutine and stream
 	// instead of fusing stateless chains and replicating stateless prefixes

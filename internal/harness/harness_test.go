@@ -329,14 +329,16 @@ func TestInterBinaryCodecMatchesGob(t *testing.T) {
 	for _, q := range Queries {
 		for _, m := range Modes {
 			t.Run(string(q)+"/"+string(m), func(t *testing.T) {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+				defer cancel()
 				o := testOptions()
 				o.Query, o.Mode, o.Deployment = q, m, Inter
-				gob, err := Run(context.Background(), o)
+				bin, err := Run(ctx, o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				o.UseBinaryCodec = true
-				bin, err := Run(context.Background(), o)
+				o.UseGobCodec = true
+				gob, err := Run(ctx, o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -366,15 +368,17 @@ func TestInterBatchedMatchesUnbatched(t *testing.T) {
 				name = string(q) + "/binary"
 			}
 			t.Run(name, func(t *testing.T) {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+				defer cancel()
 				o := testOptions()
 				o.Query, o.Mode, o.Deployment = q, ModeGL, Inter
-				o.UseBinaryCodec = binary
-				plain, err := Run(context.Background(), o)
+				o.UseGobCodec = !binary
+				plain, err := Run(ctx, o)
 				if err != nil {
 					t.Fatal(err)
 				}
 				o.BatchSize = 64
-				batched, err := Run(context.Background(), o)
+				batched, err := Run(ctx, o)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -286,8 +286,8 @@ func runInter(ctx context.Context, o Options, spec querySpec) (Result, error) {
 	if o.ThrottleBytesPerSec > 0 {
 		linkOpts = append(linkOpts, transport.WithThrottle(o.ThrottleBytesPerSec))
 	}
-	if o.UseBinaryCodec {
-		linkOpts = append(linkOpts, transport.WithCodec(transport.BinaryCodec{}))
+	if o.UseGobCodec {
+		linkOpts = append(linkOpts, transport.WithCodec(transport.GobCodec{}))
 	}
 	var all []*transport.Link
 	newLink := func(name string) *transport.Link {

@@ -1,6 +1,8 @@
 package provenance
 
 import (
+	"encoding/binary"
+
 	"genealog/internal/core"
 	"genealog/internal/ops"
 	"genealog/internal/query"
@@ -26,6 +28,11 @@ type MUConfig struct {
 // forwarded unchanged; every other record is replaced by the upstream
 // records whose SinkID matches its OrigID, substituting the true
 // originating tuples for the REMOTE placeholder (Def. 6.4).
+//
+// The Join is a pure equi-join of OrigID against SinkID, declared keyed and
+// columnar: the planner runs it as the hash-probed ops.ColJoin, so a record
+// costs a probe of its own ID's candidates, not a scan of the window (the
+// row Join under query.WithVectorize(false) produces the same stream).
 //
 // derived and upstreams must produce *Record tuples (unfolded streams).
 // AddMU returns the node producing the MU's output stream.
@@ -54,6 +61,8 @@ func AddMU(b *query.Builder, name string, derived *query.Node, upstreams []*quer
 		Predicate: func(l, r core.Tuple) bool {
 			return l.(*Record).OrigID == r.(*Record).SinkID
 		},
+		LeftKey:  func(t core.Tuple) string { return idKey(t.(*Record).OrigID) },
+		RightKey: func(t core.Tuple) string { return idKey(t.(*Record).SinkID) },
 		Combine: func(l, r core.Tuple) core.Tuple {
 			d, u := l.(*Record), r.(*Record)
 			return &Record{
@@ -66,7 +75,7 @@ func AddMU(b *query.Builder, name string, derived *query.Node, upstreams []*quer
 				Orig:     u.Orig,
 			}
 		},
-	})
+	}).ColumnarJoin(query.JoinColSpec{})
 	b.ConnectPort(needJoin, join, query.PortLeft)
 	b.ConnectPort(up, join, query.PortRight)
 
@@ -74,4 +83,12 @@ func AddMU(b *query.Builder, name string, derived *query.Node, upstreams []*quer
 	b.Connect(join, out)
 	b.Connect(passThrough, out)
 	return out
+}
+
+// idKey renders a tuple ID as a join key: its eight bytes, big-endian, so
+// keys order like the IDs they stand for.
+func idKey(id uint64) string {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], id)
+	return string(b[:])
 }

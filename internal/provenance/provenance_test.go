@@ -42,12 +42,27 @@ func mustFlush(t *testing.T, c *Collector) {
 	}
 }
 
+var _ transport.WireTuple = (*evTuple)(nil)
+
+func (t *evTuple) MarshalWire(buf []byte) ([]byte, error) {
+	return append(transport.AppendInt64(buf, t.Val), t.Key...), nil
+}
+
+func (t *evTuple) UnmarshalWire(data []byte) error {
+	val, key, err := transport.ReadInt64(data)
+	t.Val, t.Key = val, string(key)
+	return err
+}
+
 var registerOnce sync.Once
 
+// registerWire makes evTuple and the Record that nests it known to both
+// codecs: links default to the binary one.
 func registerWire() {
 	registerOnce.Do(func() {
 		transport.Register(&evTuple{})
-		transport.Register(&Record{})
+		transport.RegisterBinary(190, func() transport.WireTuple { return &evTuple{} })
+		RegisterWire()
 	})
 }
 
@@ -273,13 +288,15 @@ func TestMUInterProcessProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	var wg sync.WaitGroup
 	errs := make(chan error, 3)
 	for _, q := range []*query.Query{q1, q2, q3} {
 		wg.Add(1)
 		go func(q *query.Query) {
 			defer wg.Done()
-			errs <- q.Run(context.Background())
+			errs <- q.Run(ctx)
 		}(q)
 	}
 	wg.Wait()

@@ -47,19 +47,40 @@ func (r *Record) CloneTuple() core.Tuple {
 	return &cp
 }
 
-// sinkKey identifies the sink tuple a record belongs to: the ID when the
-// inter-process algorithm assigned one, the reference otherwise.
-func (r *Record) sinkKey() any {
-	if r.SinkID != 0 {
-		return r.SinkID
-	}
-	return r.Sink
+// tupleMap maps tuples to values, identifying a tuple by its ID when the
+// inter-process algorithm assigned one and by reference otherwise. The two
+// cases keep separate, natively keyed maps, so neither boxes its key.
+type tupleMap[V any] struct {
+	byID  map[uint64]V
+	byRef map[core.Tuple]V
 }
 
-// origKey identifies the originating tuple for deduplication.
-func (r *Record) origKey() any {
-	if r.OrigID != 0 {
-		return r.OrigID
+func (m *tupleMap[V]) get(id uint64, t core.Tuple) (V, bool) {
+	if id != 0 {
+		v, ok := m.byID[id]
+		return v, ok
 	}
-	return r.Orig
+	v, ok := m.byRef[t]
+	return v, ok
+}
+
+func (m *tupleMap[V]) put(id uint64, t core.Tuple, v V) {
+	switch {
+	case id != 0 && m.byID == nil:
+		m.byID = map[uint64]V{id: v}
+	case id != 0:
+		m.byID[id] = v
+	case m.byRef == nil:
+		m.byRef = map[core.Tuple]V{t: v}
+	default:
+		m.byRef[t] = v
+	}
+}
+
+func (m *tupleMap[V]) del(id uint64, t core.Tuple) {
+	if id != 0 {
+		delete(m.byID, id)
+	} else {
+		delete(m.byRef, t)
+	}
 }

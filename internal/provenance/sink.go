@@ -40,14 +40,19 @@ type Collector struct {
 	// from the single SU.
 	Horizon int64
 
-	groups map[any]*group
-	order  []any // first-seen order, for deterministic flushing
+	// groups indexes the pending groups by sink tuple; order holds them
+	// first-seen. Unfolded streams are timestamp-sorted, so order is also
+	// in non-decreasing sink-timestamp order and the groups whose horizon
+	// has passed are always a prefix of it.
+	groups tupleMap[*group]
+	order  []*group
 }
 
 type group struct {
+	sinkID  uint64
 	sink    core.Tuple
 	ts      int64
-	seen    map[any]struct{}
+	seen    tupleMap[struct{}] // originating tuples already in sources
 	sources []core.Tuple
 }
 
@@ -70,60 +75,58 @@ func AddCollectorHorizon(b *query.Builder, name string, from *query.Node, horizo
 // Add ingests one record. A store ingestion failure (triggered by a flush)
 // is returned so the collector's operator can fail the query.
 func (c *Collector) Add(rec *Record) error {
-	if c.groups == nil {
-		c.groups = make(map[any]*group)
+	g, ok := c.groups.get(rec.SinkID, rec.Sink)
+	if !ok {
+		g = &group{sinkID: rec.SinkID, sink: rec.Sink, ts: rec.Timestamp()}
+		c.groups.put(rec.SinkID, rec.Sink, g)
+		c.order = append(c.order, g)
 	}
-	key := rec.sinkKey()
-	g := c.groups[key]
-	if g == nil {
-		g = &group{sink: rec.Sink, ts: rec.Timestamp(), seen: make(map[any]struct{})}
-		c.groups[key] = g
-		c.order = append(c.order, key)
-	}
-	ok := rec.origKey()
-	if _, dup := g.seen[ok]; dup {
+	if _, dup := g.seen.get(rec.OrigID, rec.Orig); dup {
 		return nil
 	}
-	g.seen[ok] = struct{}{}
+	g.seen.put(rec.OrigID, rec.Orig, struct{}{})
 	g.sources = append(g.sources, rec.Orig)
 	// Flush every group whose horizon the watermark has passed.
 	return c.flushBefore(rec.Timestamp() - c.Horizon)
 }
 
-// flushBefore emits and removes groups with sink timestamp < ts, in
-// first-seen order. An emit failure is fatal to the query (the collector's
-// operator propagates it); the failed group and every later one are kept
-// only so the collector's state stays consistent — nothing re-emits them,
-// and Store.Ingest is not idempotent, so this is not a retry contract.
+// flushBefore emits and removes the groups with sink timestamp < ts — a
+// prefix of order, which is timestamp-sorted — in first-seen order. An emit
+// failure is fatal to the query (the collector's operator propagates it);
+// the failed group and every later one are kept only so the collector's
+// state stays consistent — nothing re-emits them, and Store.Ingest is not
+// idempotent, so this is not a retry contract.
 func (c *Collector) flushBefore(ts int64) error {
-	kept := c.order[:0]
-	var err error
-	for _, key := range c.order {
-		g := c.groups[key]
-		if err != nil || g.ts >= ts {
-			kept = append(kept, key)
-			continue
+	for len(c.order) > 0 && c.order[0].ts < ts {
+		if err := c.flushOldest(); err != nil {
+			return err
 		}
-		if err = c.emit(g); err != nil {
-			kept = append(kept, key)
-			continue
-		}
-		delete(c.groups, key)
 	}
-	c.order = kept
-	return err
+	return nil
 }
 
 // Flush emits every pending group (end-of-stream).
 func (c *Collector) Flush() error {
-	for i, key := range c.order {
-		if err := c.emit(c.groups[key]); err != nil {
-			c.order = c.order[i:]
+	for len(c.order) > 0 {
+		if err := c.flushOldest(); err != nil {
 			return err
 		}
-		delete(c.groups, key)
 	}
-	c.order = c.order[:0]
+	return nil
+}
+
+// flushOldest emits the first pending group and, unless that fails, removes
+// it.
+func (c *Collector) flushOldest() error {
+	g := c.order[0]
+	if err := c.emit(g); err != nil {
+		return err
+	}
+	c.groups.del(g.sinkID, g.sink)
+	// Pop by advancing the slice: append drops the dead prefix when it next
+	// grows.
+	c.order[0] = nil
+	c.order = c.order[1:]
 	return nil
 }
 

@@ -5,16 +5,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"genealog/internal/core"
 )
 
-// BinaryCodec is a hand-rolled, length-prefixed wire format that avoids
-// gob's reflection and per-connection type descriptors. The Fig. 13
-// experiments show serialisation dominating inter-process cost at high
-// rates; BinaryCodec roughly quarters the per-tuple wire cost (see
+// BinaryCodec, the link default, is a hand-rolled, length-prefixed wire
+// format that avoids gob's reflection and per-connection type descriptors.
+// The Fig. 13 experiments show serialisation dominating inter-process cost
+// at high rates; BinaryCodec roughly quarters the per-tuple wire cost (see
 // BenchmarkCodecComparison).
 //
 // Tuple types must implement WireTuple and be registered once with
@@ -44,49 +47,68 @@ type WireTuple interface {
 // heartbeatTag is the reserved type tag for watermark markers.
 const heartbeatTag = 0
 
-type binaryRegistry struct {
-	mu     sync.RWMutex
-	byTag  map[uint16]func() WireTuple
-	byType map[string]uint16
+// binaryEntry is one registered tuple type: its factory and the concrete
+// type the factory returns.
+type binaryEntry struct {
+	factory func() WireTuple
+	typ     reflect.Type
 }
 
-var binReg = &binaryRegistry{
-	byTag:  make(map[uint16]func() WireTuple),
-	byType: make(map[string]uint16),
+// binaryRegistry is an immutable snapshot of the registered (tag, type)
+// pairs. The codec resolves three entries per unfolded Record (the record
+// and its two nested tuples), so lookups are a plain map read on the
+// current snapshot: no lock, no formatting, no allocation. RegisterBinary
+// publishes a fresh copy.
+type binaryRegistry struct {
+	byTag  map[uint16]binaryEntry
+	byType map[reflect.Type]uint16
+}
+
+var (
+	binReg   atomic.Pointer[binaryRegistry]
+	binRegMu sync.Mutex // serialises RegisterBinary's copy-and-publish
+)
+
+func init() {
+	binReg.Store(&binaryRegistry{byTag: map[uint16]binaryEntry{}, byType: map[reflect.Type]uint16{}})
 }
 
 // RegisterBinary registers a tuple type for BinaryCodec under tag (> 0).
 // factory must return a fresh tuple of that type. Both peers of a link must
-// register identical (tag, type) pairs.
+// register identical (tag, type) pairs. Registering the same pair again is a
+// no-op; binding a type to a second tag, or a tag to a second type, panics —
+// either would corrupt every later decode on that tag.
 func RegisterBinary(tag uint16, factory func() WireTuple) {
 	if tag == heartbeatTag {
 		panic("transport: binary tag 0 is reserved for heartbeats")
 	}
-	binReg.mu.Lock()
-	defer binReg.mu.Unlock()
-	name := fmt.Sprintf("%T", factory())
-	if existing, dup := binReg.byType[name]; dup && existing != tag {
-		panic(fmt.Sprintf("transport: %s already registered under tag %d", name, existing))
+	typ := reflect.TypeOf(factory())
+	binRegMu.Lock()
+	defer binRegMu.Unlock()
+	cur := binReg.Load()
+	if existing, dup := cur.byType[typ]; dup && existing != tag {
+		panic(fmt.Sprintf("transport: %s already registered under tag %d", typ, existing))
 	}
-	binReg.byTag[tag] = factory
-	binReg.byType[name] = tag
+	if bound, dup := cur.byTag[tag]; dup && bound.typ != typ {
+		panic(fmt.Sprintf("transport: binary tag %d is already bound to %s, cannot rebind it to %s", tag, bound.typ, typ))
+	}
+	next := &binaryRegistry{byTag: maps.Clone(cur.byTag), byType: maps.Clone(cur.byType)}
+	next.byTag[tag] = binaryEntry{factory: factory, typ: typ}
+	next.byType[typ] = tag
+	binReg.Store(next)
 }
 
-func (r *binaryRegistry) tagOf(t core.Tuple) (uint16, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	tag, ok := r.byType[fmt.Sprintf("%T", t)]
+func tagOf(t core.Tuple) (uint16, bool) {
+	tag, ok := binReg.Load().byType[reflect.TypeOf(t)]
 	return tag, ok
 }
 
-func (r *binaryRegistry) newOf(tag uint16) (WireTuple, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	f, ok := r.byTag[tag]
+func newOf(tag uint16) (WireTuple, bool) {
+	e, ok := binReg.Load().byTag[tag]
 	if !ok {
 		return nil, false
 	}
-	return f(), true
+	return e.factory(), true
 }
 
 type binaryEncoder struct {
@@ -97,6 +119,7 @@ type binaryEncoder struct {
 type binaryDecoder struct {
 	r   *bufio.Reader
 	buf []byte
+	hdr [4]byte // length/count prefix scratch (a local would escape into the Reader)
 }
 
 // NewEncoder implements Codec.
@@ -154,76 +177,60 @@ func (e *binaryEncoder) EncodeBatch(batch []core.Tuple) error {
 	return nil
 }
 
-// writeFrame writes one tuple's length-prefixed frame without flushing.
+// writeFrame writes one tuple's length-prefixed frame — the same layout
+// AppendTupleWire nests inside a payload — without flushing. The frame is
+// assembled in the reused buffer and leaves in one Write.
 func (e *binaryEncoder) writeFrame(t core.Tuple) error {
-	e.buf = e.buf[:0]
-	var tag uint16
-	var wt WireTuple
-	if core.IsHeartbeat(t) {
-		tag = heartbeatTag
-	} else {
-		var ok bool
-		tag, ok = binReg.tagOf(t)
-		if !ok {
-			return fmt.Errorf("transport: type %T not registered with RegisterBinary", t)
-		}
-		wt, ok = t.(WireTuple)
-		if !ok {
-			return fmt.Errorf("transport: type %T does not implement WireTuple", t)
-		}
+	frame, err := AppendTupleWire(e.buf[:0], t)
+	if err != nil {
+		return fmt.Errorf("transport: binary encode %T: %w", t, err)
 	}
-	e.buf = binary.LittleEndian.AppendUint16(e.buf, tag)
-	e.buf = appendMeta(e.buf, core.MetaOf(t), t.Timestamp())
-	if wt != nil {
-		var err error
-		e.buf, err = wt.MarshalWire(e.buf)
-		if err != nil {
-			return fmt.Errorf("transport: binary encode %T: %w", t, err)
-		}
-	}
-	var lenHdr [4]byte
-	binary.LittleEndian.PutUint32(lenHdr[:], uint32(len(e.buf)))
-	if _, err := e.w.Write(lenHdr[:]); err != nil {
-		return fmt.Errorf("transport: binary encode: %w", err)
-	}
-	if _, err := e.w.Write(e.buf); err != nil {
+	e.buf = frame
+	if _, err := e.w.Write(frame); err != nil {
 		return fmt.Errorf("transport: binary encode: %w", err)
 	}
 	return nil
 }
 
+// readU32 reads one little-endian length or count prefix.
+func (d *binaryDecoder) readU32() (uint32, error) {
+	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(d.hdr[:]), nil
+}
+
 // Decode implements Decoder.
 func (d *binaryDecoder) Decode() (core.Tuple, error) {
-	var lenHdr [4]byte
-	if _, err := io.ReadFull(d.r, lenHdr[:]); err != nil {
+	n, err := d.readU32()
+	if err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("transport: binary decode: %w", err)
 	}
-	return d.readFrame(binary.LittleEndian.Uint32(lenHdr[:]))
+	return d.readFrame(n)
 }
 
 // DecodeBatch implements BatchDecoder, reversing EncodeBatch.
 func (d *binaryDecoder) DecodeBatch() ([]core.Tuple, error) {
-	var cntHdr [4]byte
-	if _, err := io.ReadFull(d.r, cntHdr[:]); err != nil {
+	count, err := d.readU32()
+	if err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("transport: binary decode: %w", err)
 	}
-	count := binary.LittleEndian.Uint32(cntHdr[:])
 	if count == 0 || count > MaxBatchFrameTuples {
 		return nil, fmt.Errorf("transport: binary decode: implausible batch count %d", count)
 	}
 	batch := make([]core.Tuple, 0, count)
 	for i := uint32(0); i < count; i++ {
-		var lenHdr [4]byte
-		if _, err := io.ReadFull(d.r, lenHdr[:]); err != nil {
+		n, err := d.readU32()
+		if err != nil {
 			return nil, fmt.Errorf("transport: binary decode: truncated batch: %w", err)
 		}
-		t, err := d.readFrame(binary.LittleEndian.Uint32(lenHdr[:]))
+		t, err := d.readFrame(n)
 		if err != nil {
 			return nil, err
 		}
@@ -254,7 +261,7 @@ func (d *binaryDecoder) readFrame(n uint32) (core.Tuple, error) {
 		}
 		return hb, nil
 	}
-	t, ok := binReg.newOf(tag)
+	t, ok := newOf(tag)
 	if !ok {
 		return nil, fmt.Errorf("transport: binary decode: unknown type tag %d", tag)
 	}
@@ -361,8 +368,9 @@ func ReadFloat64(data []byte) (float64, []byte, error) {
 }
 
 // AppendTupleWire encodes a registered tuple — tag, meta, payload, prefixed
-// with its own length — so WireTuple implementations can nest tuples (the
-// unfolded-stream Record carries its sink and originating tuples).
+// with its own length: one frame of the codec — so WireTuple implementations
+// can nest tuples (the unfolded-stream Record carries its sink and
+// originating tuples). A nil tuple encodes as a zero length.
 func AppendTupleWire(buf []byte, t core.Tuple) ([]byte, error) {
 	if t == nil {
 		return binary.LittleEndian.AppendUint32(buf, 0), nil
@@ -371,13 +379,13 @@ func AppendTupleWire(buf []byte, t core.Tuple) ([]byte, error) {
 	var wt WireTuple
 	if !core.IsHeartbeat(t) {
 		var ok bool
-		tag, ok = binReg.tagOf(t)
+		tag, ok = tagOf(t)
 		if !ok {
-			return nil, fmt.Errorf("transport: nested type %T not registered with RegisterBinary", t)
+			return nil, fmt.Errorf("transport: type %T not registered with RegisterBinary", t)
 		}
 		wt, ok = t.(WireTuple)
 		if !ok {
-			return nil, fmt.Errorf("transport: nested type %T does not implement WireTuple", t)
+			return nil, fmt.Errorf("transport: type %T does not implement WireTuple", t)
 		}
 	}
 	lenAt := len(buf)
@@ -419,7 +427,7 @@ func ReadTupleWire(data []byte) (core.Tuple, []byte, error) {
 		}
 		return hb, rest, nil
 	}
-	t, ok := binReg.newOf(tag)
+	t, ok := newOf(tag)
 	if !ok {
 		return nil, nil, fmt.Errorf("transport: nested decode: unknown type tag %d", tag)
 	}

@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"io"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -56,6 +59,7 @@ func registerBinaryTest() {
 	registerBinaryOnce.Do(func() {
 		RegisterBinary(200, func() WireTuple { return &bwTuple{} })
 		RegisterBinary(201, func() WireTuple { return &bwNested{} })
+		RegisterBinary(202, func() WireTuple { return &bwPair{} })
 	})
 }
 
@@ -161,7 +165,8 @@ func TestBinaryCodecUnregisteredType(t *testing.T) {
 	registerBinaryTest()
 	pipe := NewPipe(0)
 	enc := BinaryCodec{}.NewEncoder(pipe)
-	if err := enc.Encode(wt(1, "k", 1)); err == nil {
+	type unregistered struct{ bwTuple }
+	if err := enc.Encode(&unregistered{}); err == nil {
 		t.Fatal("unregistered types must fail to encode")
 	}
 }
@@ -232,4 +237,141 @@ func TestRegisterBinaryReservedTag(t *testing.T) {
 		}
 	}()
 	RegisterBinary(0, func() WireTuple { return &bwTuple{} })
+}
+
+func TestRegisterBinaryRebindPanics(t *testing.T) {
+	registerBinaryTest()
+	// The same (tag, type) pair again is harmless.
+	RegisterBinary(200, func() WireTuple { return &bwTuple{} })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "transport.bwTuple") || !strings.Contains(msg, "transport.other") {
+			t.Fatalf("rebinding tag 200 must panic naming both types, got %q", msg)
+		}
+		// The refused registration must leave tag 200 decoding as before.
+		if got, ok := newOf(200); !ok {
+			t.Fatal("tag 200 lost")
+		} else if _, isTuple := got.(*bwTuple); !isTuple {
+			t.Fatalf("tag 200 now decodes as %T", got)
+		}
+	}()
+	type other struct{ bwNested }
+	RegisterBinary(200, func() WireTuple { return &other{} })
+}
+
+// bwPair has the shape of an unfolded-stream record: scalars plus two nested
+// payload tuples, so one frame costs three registry lookups each way.
+type bwPair struct {
+	core.Base
+	ID         int64
+	Sink, Orig core.Tuple
+}
+
+func (t *bwPair) MarshalWire(buf []byte) ([]byte, error) {
+	buf = AppendInt64(buf, t.ID)
+	buf, err := AppendTupleWire(buf, t.Sink)
+	if err != nil {
+		return nil, err
+	}
+	return AppendTupleWire(buf, t.Orig)
+}
+
+func (t *bwPair) UnmarshalWire(data []byte) error {
+	var err error
+	if t.ID, data, err = ReadInt64(data); err != nil {
+		return err
+	}
+	if t.Sink, data, err = ReadTupleWire(data); err != nil {
+		return err
+	}
+	t.Orig, _, err = ReadTupleWire(data)
+	return err
+}
+
+// pairRoundTrip returns a function that encodes one nested record and one
+// that decodes it again, over a reused in-memory buffer.
+func pairRoundTrip(tb testing.TB) (encode, decode func()) {
+	registerBinaryTest()
+	rec := &bwPair{Base: core.NewBase(9), ID: 7,
+		Sink: &bwTuple{Base: core.NewBase(9), A: 1, B: 2},
+		Orig: &bwTuple{Base: core.NewBase(5), A: 3, B: 4}}
+	var wire bytes.Buffer
+	enc := BinaryCodec{}.NewEncoder(&wire)
+	var frame bytes.Reader
+	dec := BinaryCodec{}.NewDecoder(&frame)
+	encode = func() {
+		wire.Reset()
+		if err := enc.Encode(rec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	decode = func() {
+		frame.Reset(wire.Bytes())
+		got, err := dec.Decode()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if p := got.(*bwPair); p.ID != 7 || p.Orig.(*bwTuple).A != 3 {
+			tb.Fatalf("record corrupted: %+v", p)
+		}
+	}
+	return encode, decode
+}
+
+// TestBinaryRecordRoundTripAllocs pins the registry off the per-tuple path:
+// encoding a nested record allocates nothing, and decoding it allocates the
+// three tuples it returns and nothing else — a lookup that formats a type
+// name, or boxes a key, shows up here as an extra allocation per tuple.
+func TestBinaryRecordRoundTripAllocs(t *testing.T) {
+	encode, decode := pairRoundTrip(t)
+	encode() // grow the reused buffers once
+	decode()
+	if n := testing.AllocsPerRun(200, encode); n != 0 {
+		t.Errorf("encoding a nested record allocates %.1f objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, decode); n != 3 {
+		t.Errorf("decoding a nested record allocates %.1f objects, want 3 (the tuples)", n)
+	}
+}
+
+func BenchmarkBinaryRecordRoundTrip(b *testing.B) {
+	encode, decode := pairRoundTrip(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encode()
+		decode()
+	}
+}
+
+// TestRegisterBinaryDuringLookups registers types while other goroutines
+// resolve tags and types: lookups read whichever snapshot is current,
+// without a lock, and must never miss an earlier registration (run under
+// -race).
+func TestRegisterBinaryDuringLookups(t *testing.T) {
+	registerBinaryTest()
+	type lateA struct{ bwTuple }
+	type lateB struct{ bwTuple }
+	type lateC struct{ bwTuple }
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				tag, ok := tagOf(&bwNested{})
+				if got, found := newOf(tag); !ok || !found || reflect.TypeOf(got) != reflect.TypeOf(&bwNested{}) {
+					t.Errorf("bwNested resolved to tag %d (%v) and back to %T during a concurrent registration", tag, ok, got)
+					return
+				}
+			}
+		}()
+	}
+	RegisterBinary(220, func() WireTuple { return &lateA{} })
+	RegisterBinary(221, func() WireTuple { return &lateB{} })
+	RegisterBinary(222, func() WireTuple { return &lateC{} })
+	wg.Wait()
+	if tag, ok := tagOf(&lateC{}); !ok || tag != 222 {
+		t.Fatalf("lateC registered under %d (%v), want 222", tag, ok)
+	}
 }

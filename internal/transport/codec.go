@@ -1,7 +1,7 @@
 // Package transport implements the inter-process substrate of the paper's
 // §6: Send and Receive operators that move tuples between SPE instances
-// across a serialisation boundary, a gob-based codec, an in-memory
-// serialising pipe, a TCP transport, and a token-bucket throttle that models
+// across a serialisation boundary, two codecs (the hand-rolled BinaryCodec
+// every link defaults to, and GobCodec), an in-memory serialising pipe, a TCP transport, and a token-bucket throttle that models
 // constrained edge links (the paper's 100 Mbps switch).
 //
 // Crossing a Send/Receive pair is what destroys the in-process U1/U2/N
@@ -69,9 +69,11 @@ func registerBuiltins() {
 	})
 }
 
-// GobCodec serialises tuples with encoding/gob. Tuple structs embed
-// core.Meta, whose GobEncode keeps event time, stimulus, ID, kind and the
-// baseline annotation — and drops the process-local U1/U2/N pointers.
+// GobCodec serialises tuples with encoding/gob: no WireTuple methods or tags
+// to declare, at several times BinaryCodec's per-tuple cost. Select it with
+// WithCodec. Tuple structs embed core.Meta, whose GobEncode keeps event
+// time, stimulus, ID, kind and the baseline annotation — and drops the
+// process-local U1/U2/N pointers.
 type GobCodec struct{}
 
 var _ Codec = GobCodec{}

@@ -194,7 +194,7 @@ type linkConfig struct {
 	name        string
 }
 
-// WithCodec selects the tuple codec (default GobCodec).
+// WithCodec selects the tuple codec (default BinaryCodec).
 func WithCodec(c Codec) LinkOption { return func(l *linkConfig) { l.codec = c } }
 
 // WithBuffer sets the pipe buffer size in bytes.
@@ -217,7 +217,7 @@ func WithName(name string) LinkOption { return func(l *linkConfig) { l.name = na
 // hosted by the same process. Tuples still cross a full encode/decode
 // boundary, so provenance pointers die exactly as they would over TCP.
 func NewLink(opts ...LinkOption) *Link {
-	cfg := linkConfig{codec: GobCodec{}}
+	cfg := linkConfig{codec: BinaryCodec{}}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -239,7 +239,7 @@ func NewLink(opts ...LinkOption) *Link {
 // NewConnLink returns a link over an established network connection (one
 // direction: the caller decides which peer encodes and which decodes).
 func NewConnLink(conn io.ReadWriteCloser, opts ...LinkOption) *Link {
-	cfg := linkConfig{codec: GobCodec{}}
+	cfg := linkConfig{codec: BinaryCodec{}}
 	for _, o := range opts {
 		o(&cfg)
 	}

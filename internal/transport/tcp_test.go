@@ -33,13 +33,15 @@ func TestTCPLinkRoundTrip(t *testing.T) {
 
 	const n = 200
 	go func() {
+		// Close on every path: a failed Encode must end the receiver's
+		// Decode loop below, not leave it waiting for the test timeout.
+		defer sender.Closer.Close()
 		for i := 0; i < n; i++ {
 			if err := sender.Enc.Encode(wt(int64(i), "k", int64(i))); err != nil {
 				t.Error(err)
 				return
 			}
 		}
-		sender.Closer.Close()
 	}()
 	for i := 0; i < n; i++ {
 		got, err := recv.link.Dec.Decode()

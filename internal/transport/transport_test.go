@@ -27,10 +27,27 @@ func (t *wireTuple) CloneTuple() core.Tuple {
 	return &cp
 }
 
+var _ WireTuple = (*wireTuple)(nil)
+
+func (t *wireTuple) MarshalWire(buf []byte) ([]byte, error) {
+	return append(AppendInt64(buf, t.Val), t.Key...), nil
+}
+
+func (t *wireTuple) UnmarshalWire(data []byte) error {
+	val, key, err := ReadInt64(data)
+	t.Val, t.Key = val, string(key)
+	return err
+}
+
 var registerOnce sync.Once
 
+// registerWire makes wireTuple known to both codecs, so tests can send it
+// over a default (binary) link as well as an explicit gob one.
 func registerWire() {
-	registerOnce.Do(func() { Register(&wireTuple{}) })
+	registerOnce.Do(func() {
+		Register(&wireTuple{})
+		RegisterBinary(210, func() WireTuple { return &wireTuple{} })
+	})
 }
 
 func TestGobCodecRoundTrip(t *testing.T) {
