@@ -172,8 +172,9 @@ func (b *Instrumenter) OnSend(core.Tuple) {}
 func (b *Instrumenter) OnReceive(core.Tuple) {}
 
 // NeedsMultiplexClone implements core.Instrumenter: branches carry their own
-// annotation copies.
-func (b *Instrumenter) NeedsMultiplexClone() bool { return true }
+// annotation copies, whatever the downstream operators write — the textbook
+// baseline clones at every Multiplex.
+func (b *Instrumenter) NeedsMultiplexClone(int) bool { return true }
 
 func annotationOf(t core.Tuple) []uint64 {
 	if m := core.MetaOf(t); m != nil {

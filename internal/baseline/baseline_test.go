@@ -122,6 +122,17 @@ func TestResolver(t *testing.T) {
 	}
 }
 
+// TestBaselineAlwaysClones: the textbook baseline copies at every Multiplex,
+// whatever the planner counts downstream.
+func TestBaselineAlwaysClones(t *testing.T) {
+	in := &Instrumenter{IDs: core.NewIDGen(1)}
+	for writers := 0; writers <= 2; writers++ {
+		if !in.NeedsMultiplexClone(writers) {
+			t.Fatalf("BL shares an object with %d writers downstream", writers)
+		}
+	}
+}
+
 func TestStoreDuplicatePutIgnored(t *testing.T) {
 	st := NewStore()
 	a := ev(1, "a", 0)

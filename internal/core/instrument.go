@@ -13,12 +13,16 @@ import "sync/atomic"
 //
 // Hooks are invoked by the operator goroutine that creates (or buffers) the
 // tuple, before the tuple is sent downstream, so implementations need no
-// internal synchronisation for per-tuple state.
+// internal synchronisation for per-tuple state. The one write after creation
+// (GL's N, by the Aggregate buffering the tuple) stays single-writer because
+// the query planner clones at a Multiplex whenever two branches could write
+// the same object (see NeedsMultiplexClone).
 type Instrumenter interface {
 	// OnSource is invoked for every tuple created by a Source.
 	OnSource(t Tuple)
 	// OnMap is invoked for each output tuple of a Map and links it to the
-	// input tuple it was derived from.
+	// input tuple it was derived from. A Map that forwards its input
+	// (out == in) created nothing, and GL leaves the tuple untouched.
 	OnMap(out, in Tuple)
 	// OnMultiplex links one fresh per-branch copy to the multiplexed input.
 	OnMultiplex(out, in Tuple)
@@ -36,11 +40,13 @@ type Instrumenter interface {
 	// OnReceive is invoked for every tuple a Receive operator reconstructs
 	// from the wire.
 	OnReceive(t Tuple)
-	// NeedsMultiplexClone reports whether Multiplex must emit per-branch
-	// copies (true when per-tuple provenance state must not be shared across
-	// branches). When false, Multiplex forwards the same tuple to every
-	// branch.
-	NeedsMultiplexClone() bool
+	// NeedsMultiplexClone is the question the query planner asks of every
+	// Multiplex: must its branches receive per-branch copies when writers
+	// paths lead from it, through operators that forward objects, to an
+	// operator that may write per-tuple state of the forwarded object (an
+	// Aggregate's N, a Custom operator's unknown writes)? When false, the
+	// Multiplex forwards the same tuple object to every branch.
+	NeedsMultiplexClone(writers int) bool
 }
 
 // Noop is the NP instrumenter: provenance capture disabled.
@@ -72,8 +78,9 @@ func (Noop) OnSend(Tuple) {}
 // OnReceive implements Instrumenter.
 func (Noop) OnReceive(Tuple) {}
 
-// NeedsMultiplexClone implements Instrumenter.
-func (Noop) NeedsMultiplexClone() bool { return false }
+// NeedsMultiplexClone implements Instrumenter: NP state is never written, so
+// every branch shares the object.
+func (Noop) NeedsMultiplexClone(int) bool { return false }
 
 // Genealog is the GL instrumenter. It sets the Type/U1/U2/N meta-attributes
 // exactly as §4.1 prescribes and, when an IDGen is configured (inter-process
@@ -99,10 +106,12 @@ func (g *Genealog) OnSource(t Tuple) {
 	}
 }
 
-// OnMap implements Instrumenter: T := MAP, U1 := in.
+// OnMap implements Instrumenter: T := MAP, U1 := in. A Map forwarding its
+// input (an identity kernel, or a row Map emitting what it received) is a
+// no-op: linking the tuple to itself would cut it off from its sources.
 func (g *Genealog) OnMap(out, in Tuple) {
 	m := MetaOf(out)
-	if m == nil {
+	if m == nil || m == MetaOf(in) {
 		return
 	}
 	m.SetKind(KindMap)
@@ -200,10 +209,11 @@ func (g *Genealog) OnReceive(t Tuple) {
 	m.SetNext(nil)
 }
 
-// NeedsMultiplexClone implements Instrumenter: GL branches must not share
-// one tuple object because each branch's downstream aggregate writes the N
-// meta-attribute.
-func (g *Genealog) NeedsMultiplexClone() bool { return true }
+// NeedsMultiplexClone implements Instrumenter: N is the only meta-attribute
+// written after a tuple is created, by the single Aggregate buffering it
+// (§4.1). Branches may share one object unless two of them could write its
+// N chain.
+func (g *Genealog) NeedsMultiplexClone(writers int) bool { return writers > 1 }
 
 // IDGen produces process-unique tuple IDs. Following the paper's footnote 2,
 // an ID is the generating node's identifier in the high bits combined with a

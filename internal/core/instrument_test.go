@@ -133,8 +133,37 @@ func TestNoopLeavesTuplesUntouched(t *testing.T) {
 	if s.Kind() != KindNone || s.U1() != nil || s.U2() != nil || s.Next() != nil {
 		t.Fatal("Noop must not set any meta-attribute")
 	}
-	if n.NeedsMultiplexClone() {
-		t.Fatal("Noop must not require multiplex clones")
+	for _, writers := range []int{0, 1, 2} {
+		if n.NeedsMultiplexClone(writers) {
+			t.Fatalf("Noop must not require multiplex clones (%d writers)", writers)
+		}
+	}
+}
+
+// TestGenealogClonesOnlyForTwoWriters: GL shares a multiplexed object unless
+// two branches could write its N chain.
+func TestGenealogClonesOnlyForTwoWriters(t *testing.T) {
+	g := &Genealog{}
+	for writers, want := range []bool{false, false, true, true} {
+		if got := g.NeedsMultiplexClone(writers); got != want {
+			t.Fatalf("NeedsMultiplexClone(%d) = %v, want %v", writers, got, want)
+		}
+	}
+}
+
+// TestGenealogIdentityMapIsNoop: a Map forwarding its input must leave the
+// tuple's provenance intact, or traversal would lose its sources.
+func TestGenealogIdentityMapIsNoop(t *testing.T) {
+	g := &Genealog{IDs: NewIDGen(1)}
+	s := source("s", 1)
+	g.OnSource(s)
+	id := s.ID()
+	g.OnMap(s, s)
+	if s.Kind() != KindSource || s.U1() != nil || s.ID() != id {
+		t.Fatalf("identity OnMap rewrote the tuple: kind=%v u1=%v id=%d (was %d)", s.Kind(), s.U1(), s.ID(), id)
+	}
+	if got := FindProvenance(s); len(got) != 1 || got[0] != Tuple(s) {
+		t.Fatalf("FindProvenance after an identity map = %v, want [s]", got)
 	}
 }
 

@@ -93,8 +93,11 @@ type Cloneable interface {
 // creates the tuple, before the tuple is sent downstream. next is written at
 // most once, by the single Aggregate that buffers the tuple, and every
 // window emission that can observe the write happens after it (the write
-// precedes the channel send of the emitted window result). Traversal
-// therefore needs no synchronisation.
+// precedes the channel send of the emitted window result). A Multiplex may
+// hand the same object to several branches; next still has a single writer
+// per object because the query planner clones at every Multiplex where two
+// branches could reach an Aggregate (or an operator of unknown writes)
+// with the same object. Traversal therefore needs no synchronisation.
 type Meta struct {
 	ts   int64
 	stim int64

@@ -2,12 +2,15 @@ package harness
 
 import (
 	"context"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"genealog/internal/clickstream"
 	"genealog/internal/linearroad"
+	"genealog/internal/provenance"
 	"genealog/internal/smartgrid"
 )
 
@@ -70,21 +73,83 @@ func TestGraphShapes(t *testing.T) {
 	}
 }
 
-// TestModesAgreeOnQueryOutput: provenance capture must not change the query
-// semantics — NP, GL and BL see identical sink tuple counts.
+// runDigest runs one configuration and digests every assembled provenance
+// result as "sink payload <- sorted source payloads", sorted: comparable
+// across modes and deployments, whose result order and IDs differ.
+func runDigest(t *testing.T, o Options) (Result, string) {
+	t.Helper()
+	var mu sync.Mutex
+	var lines []string
+	o.OnProvenance = func(r provenance.Result) {
+		srcs := make([]string, len(r.Sources))
+		for i, s := range r.Sources {
+			srcs[i] = payload(t, s)
+		}
+		sort.Strings(srcs)
+		line := payload(t, r.Sink) + " <- " + strings.Join(srcs, "|")
+		mu.Lock()
+		lines = append(lines, line)
+		mu.Unlock()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	r, err := Run(ctx, o)
+	if err != nil {
+		t.Fatalf("Run(%s,%s,%s): %v", o.Query, o.Mode, o.Deployment, err)
+	}
+	sort.Strings(lines)
+	return r, strings.Join(lines, "\n")
+}
+
+// checkModesAgree runs NP, GL and BL on one configuration: provenance capture
+// must not change the query semantics (identical sink counts), and GL's
+// contribution sets must equal BL's result by result. BL clones at every
+// Multiplex, so it is the clone-everything reference for GL, which shares an
+// object across branches wherever at most one of them can write it. It
+// returns the NP and BL results.
+func checkModesAgree(t *testing.T, o Options) (np, bl Result) {
+	t.Helper()
+	o.Mode = ModeNP
+	np, _ = runDigest(t, o)
+	o.Mode = ModeGL
+	gl, glDigest := runDigest(t, o)
+	o.Mode = ModeBL
+	bl, blDigest := runDigest(t, o)
+	if np.SinkTuples != gl.SinkTuples || np.SinkTuples != bl.SinkTuples {
+		t.Fatalf("sink tuples disagree: NP=%d GL=%d BL=%d",
+			np.SinkTuples, gl.SinkTuples, bl.SinkTuples)
+	}
+	if gl.ProvResults == 0 || gl.ProvSources != bl.ProvSources {
+		t.Fatalf("provenance disagrees: GL=%d sources in %d results, BL=%d", gl.ProvSources, gl.ProvResults, bl.ProvSources)
+	}
+	if glDigest != blDigest {
+		t.Fatalf("GL and BL contribution sets diverge:\n--- GL ---\n%s\n--- BL ---\n%s", glDigest, blDigest)
+	}
+	return np, bl
+}
+
+// TestModesAgreeOnQueryOutput: in one process, NP, GL and BL agree on the
+// sink tuples, and GL and BL on every result's contribution set.
 func TestModesAgreeOnQueryOutput(t *testing.T) {
 	for _, q := range Queries {
 		t.Run(string(q), func(t *testing.T) {
-			np := run(t, q, ModeNP, Intra)
-			gl := run(t, q, ModeGL, Intra)
-			bl := run(t, q, ModeBL, Intra)
-			if np.SinkTuples != gl.SinkTuples || np.SinkTuples != bl.SinkTuples {
-				t.Fatalf("sink tuples disagree: NP=%d GL=%d BL=%d",
-					np.SinkTuples, gl.SinkTuples, bl.SinkTuples)
-			}
-			if gl.ProvSources != bl.ProvSources {
-				t.Fatalf("provenance sizes disagree: GL=%d BL=%d", gl.ProvSources, bl.ProvSources)
-			}
+			o := testOptions()
+			o.Query, o.Deployment = q, Intra
+			checkModesAgree(t, o)
+		})
+	}
+}
+
+// TestModesAgreeShardedBatched: the same agreement with every keyed stateful
+// operator at parallelism 4 and batches of 64, where shard lanes, hoisted
+// prefixes and fused suffixes carry the shared objects.
+func TestModesAgreeShardedBatched(t *testing.T) {
+	for _, d := range []Deployment{Intra, Inter} {
+		t.Run(d.String(), func(t *testing.T) {
+			o := testOptions()
+			o.Query, o.Deployment = Q4, d
+			o.Parallelism, o.BatchSize = 4, 64
+			checkModesAgree(t, o)
 		})
 	}
 }
@@ -115,19 +180,14 @@ func TestInterMatchesIntra(t *testing.T) {
 	}
 }
 
+// TestInterModesAgree: across three SPE instances, NP, GL and BL agree on
+// the sink tuples, and GL and BL on every result's contribution set.
 func TestInterModesAgree(t *testing.T) {
 	for _, q := range Queries {
 		t.Run(string(q), func(t *testing.T) {
-			np := run(t, q, ModeNP, Inter)
-			gl := run(t, q, ModeGL, Inter)
-			bl := run(t, q, ModeBL, Inter)
-			if np.SinkTuples != gl.SinkTuples || np.SinkTuples != bl.SinkTuples {
-				t.Fatalf("sink tuples disagree: NP=%d GL=%d BL=%d",
-					np.SinkTuples, gl.SinkTuples, bl.SinkTuples)
-			}
-			if gl.ProvSources != bl.ProvSources {
-				t.Fatalf("provenance disagrees: GL=%d BL=%d", gl.ProvSources, bl.ProvSources)
-			}
+			o := testOptions()
+			o.Query, o.Deployment = q, Inter
+			np, bl := checkModesAgree(t, o)
 			// BL ships the whole source stream on top of the query's own
 			// traffic.
 			if bl.NetBytes <= np.NetBytes {

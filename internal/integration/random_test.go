@@ -40,7 +40,7 @@ func (t *rTuple) ApproxBytes() int { return 16 + len(t.Key) }
 
 // segment is one randomly chosen building block of a pipeline.
 type segment struct {
-	kind int   // 0 filter, 1 map, 2 aggregate, 3 diamond, 4 self-join
+	kind int   // 0 filter, 1 map, 2 aggregate, 3 diamond, 4 self-join, 5 fork
 	p1   int64 // parameter (modulus, window size, ...)
 	p2   int64
 }
@@ -137,6 +137,27 @@ func buildPipeline(b *query.Builder, src *query.Node, segs []segment, parallelis
 			b.ConnectPort(x, j, query.PortLeft)
 			b.ConnectPort(x, j, query.PortRight)
 			cur = j
+		case 5: // fork: multiplex -> two differently keyed aggregates -> union
+			// Both aggregates buffer every tuple, each chaining N within its
+			// own groups: the multiplex must hand them separate copies.
+			x := b.AddMultiplex("fmux" + id)
+			u := b.AddUnion("funi" + id)
+			b.Connect(cur, x)
+			keys := []func(core.Tuple) string{
+				rKey,
+				func(t core.Tuple) string { return strconv.FormatInt(t.(*rTuple).Val%2, 10) },
+			}
+			for k, key := range keys {
+				a := b.AddAggregate(fmt.Sprintf("fagg%s-%d", id, k), ops.AggregateSpec{
+					WS: s.p1, WA: s.p1, Key: key,
+					Fold: func(w []core.Tuple, start, end int64, key string) core.Tuple {
+						return rt(0, key, int64(len(w)))
+					},
+				}).Parallel(parallelism)
+				b.Connect(x, a)
+				b.Connect(a, u)
+			}
+			cur = u
 		}
 	}
 	return cur
@@ -244,6 +265,28 @@ func TestRandomTopologyEquivalence(t *testing.T) {
 	}
 	if interesting < 20 {
 		t.Fatalf("only %d/40 random topologies produced sink tuples; generator too restrictive", interesting)
+	}
+}
+
+// TestForkedAggregatesMatchBaseline: a multiplex feeding two aggregates that
+// group the same tuples differently must clone under GL, or one aggregate's
+// N chain overwrites the other's and their results' contribution sets go
+// wrong. BL clones at every multiplex and is the reference.
+func TestForkedAggregatesMatchBaseline(t *testing.T) {
+	for seed := int64(400); seed < 406; seed++ {
+		segs := []segment{{kind: 5, p1: 2 + seed%4}, {kind: 0, p1: 3}}
+		for _, parallelism := range []int{1, 4} {
+			gl := canonicalize(runGL(t, seed, segs, parallelism, true))
+			bl := canonicalize(runBL(t, seed, segs, parallelism, true))
+			if len(gl) == 0 || len(gl) != len(bl) {
+				t.Fatalf("seed %d p%d: GL %d results, BL %d", seed, parallelism, len(gl), len(bl))
+			}
+			for i := range gl {
+				if gl[i] != bl[i] {
+					t.Fatalf("seed %d p%d: provenance mismatch:\nGL: %s\nBL: %s", seed, parallelism, gl[i], bl[i])
+				}
+			}
+		}
 	}
 }
 

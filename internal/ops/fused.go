@@ -20,12 +20,13 @@ const (
 	// StageFilter applies a predicate and drops non-matching tuples,
 	// advertising watermark progress for the dropped ones.
 	StageFilter
-	// StageMultiplex is a single-branch pass-through Multiplex: under an
-	// instrumenter that needs per-branch copies (GL, BL) the stage clones the
-	// tuple and links it (U1, Type=MULTIPLEX); under NP it forwards the tuple
-	// unchanged.
+	// StageMultiplex is a cloning single-branch pass-through Multiplex: the
+	// stage clones the tuple and links the copy through the instrumenter (GL:
+	// U1, Type=MULTIPLEX). A Multiplex the planner lets share its input is a
+	// StagePass instead.
 	StageMultiplex
-	// StagePass forwards tuples unchanged (a single-input Union).
+	// StagePass forwards tuples unchanged (a single-input Union, or a sharing
+	// Multiplex).
 	StagePass
 )
 
@@ -187,7 +188,6 @@ type stageApplier struct {
 func newStageApplier(stages []FusedStage, instr core.Instrumenter, deliver func(core.Tuple) error, drop func(int64) error) *stageApplier {
 	a := &stageApplier{deliver: deliver, drop: drop}
 	apply := a.send
-	clone := instr.NeedsMultiplexClone()
 	for i := len(stages) - 1; i >= 0; i-- {
 		st := stages[i]
 		next := apply
@@ -227,10 +227,6 @@ func newStageApplier(stages []FusedStage, instr core.Instrumenter, deliver func(
 				}
 			}
 		case StageMultiplex:
-			if !clone {
-				apply = next // NP forwards the same tuple object
-				continue
-			}
 			name := st.Name
 			apply = func(t core.Tuple) {
 				c, ok := t.(core.Cloneable)

@@ -147,15 +147,15 @@ func TestFusedChainWatermarkOnDrop(t *testing.T) {
 	}
 }
 
-// TestFusedChainMultiplexStage: a pass-through Multiplex stage must clone
-// and link under GL and forward the same object under NP, exactly like the
-// standalone operator.
+// TestFusedChainMultiplexStage: a cloning pass-through Multiplex stage must
+// clone and link, and the pass stage a sharing Multiplex becomes must forward
+// the same object, exactly like the standalone operator.
 func TestFusedChainMultiplexStage(t *testing.T) {
-	run := func(instr core.Instrumenter) (in, out core.Tuple) {
+	run := func(kind StageKind, instr core.Instrumenter) (in, out core.Tuple) {
 		src := vt(1, "k", 7)
 		o := NewStream("out", 0)
 		fc := NewFusedChain("fused", feed(src), o,
-			[]FusedStage{{Name: "mux", Kind: StageMultiplex}}, instr)
+			[]FusedStage{{Name: "mux", Kind: kind}}, instr)
 		done := make(chan []core.Tuple)
 		go func() { done <- drain(t, o) }()
 		runOps(t, fc)
@@ -165,11 +165,11 @@ func TestFusedChainMultiplexStage(t *testing.T) {
 		}
 		return src, got[0]
 	}
-	in, out := run(core.Noop{})
+	in, out := run(StagePass, &core.Genealog{})
 	if in != out {
-		t.Fatal("NP multiplex stage must forward the same tuple object")
+		t.Fatal("a sharing multiplex stage must forward the same tuple object")
 	}
-	in, out = run(&core.Genealog{})
+	in, out = run(StageMultiplex, &core.Genealog{})
 	if in == out {
 		t.Fatal("GL multiplex stage must clone")
 	}

@@ -83,7 +83,7 @@ func TestMultiplexForwardsHeartbeatsUncloned(t *testing.T) {
 	hb := core.NewHeartbeat(4)
 	in := feed(hb)
 	o1, o2 := NewStream("o1", 4), NewStream("o2", 4)
-	x := NewMultiplex("x", in, []*Stream{o1, o2}, &core.Genealog{})
+	x := NewMultiplex("x", in, []*Stream{o1, o2}, &core.Genealog{}, true)
 	runOps(t, x)
 	g1, g2 := drainAll(t, o1), drainAll(t, o2)
 	if !core.IsHeartbeat(g1[0]) || !core.IsHeartbeat(g2[0]) {

@@ -8,26 +8,31 @@ import (
 	"genealog/internal/core"
 )
 
-// ErrNotCloneable is returned when a provenance-instrumented Multiplex
-// receives a tuple that does not implement core.Cloneable.
+// ErrNotCloneable is returned when a cloning Multiplex receives a tuple that
+// does not implement core.Cloneable.
 var ErrNotCloneable = errors.New("multiplex: tuple does not implement core.Cloneable")
 
-// Multiplex copies each input tuple to every output stream (paper §2). When
-// the instrumenter requires per-branch copies (GL, BL), each branch receives
-// a clone linked to the original (U1, Type=MULTIPLEX); under NP the same
-// tuple object is forwarded to every branch.
+// Multiplex copies each input tuple to every output stream (paper §2). A
+// cloning Multiplex hands each branch its own copy linked to the original
+// through the instrumenter (GL: U1, Type=MULTIPLEX); a sharing one forwards
+// the same tuple object to every branch. The query planner decides which,
+// per Multiplex: NP always shares, BL always clones, and GL clones only
+// where two branches could write the N chain of the same object (see
+// core.Instrumenter.NeedsMultiplexClone).
 type Multiplex struct {
 	name  string
 	in    *Stream
 	outs  []*Stream
 	instr core.Instrumenter
+	clone bool
 }
 
 var _ Operator = (*Multiplex)(nil)
 
-// NewMultiplex returns a Multiplex operator with the given output branches.
-func NewMultiplex(name string, in *Stream, outs []*Stream, instr core.Instrumenter) *Multiplex {
-	return &Multiplex{name: name, in: in, outs: outs, instr: instr}
+// NewMultiplex returns a Multiplex operator with the given output branches;
+// clone selects per-branch copies linked by instr.OnMultiplex.
+func NewMultiplex(name string, in *Stream, outs []*Stream, instr core.Instrumenter, clone bool) *Multiplex {
+	return &Multiplex{name: name, in: in, outs: outs, instr: instr, clone: clone}
 }
 
 // Name implements Operator.
@@ -37,7 +42,6 @@ func (x *Multiplex) Name() string { return x.name }
 // flushes every branch once per batch, before blocking for more input.
 func (x *Multiplex) Run(ctx context.Context) error {
 	defer closeAll(ctx, x.outs)
-	clone := x.instr.NeedsMultiplexClone()
 	for {
 		batch, ok, err := x.in.RecvBatch(ctx)
 		if err != nil {
@@ -54,7 +58,7 @@ func (x *Multiplex) Run(ctx context.Context) error {
 					// Each branch gets its own marker: a shared one could be
 					// mutated concurrently by the branches' instrumenters.
 					branch = core.NewHeartbeat(t.Timestamp())
-				case clone:
+				case x.clone:
 					c, ok := t.(core.Cloneable)
 					if !ok {
 						return fmt.Errorf("multiplex %q: %w (%T)", x.name, ErrNotCloneable, t)

@@ -152,7 +152,7 @@ func TestMultiplexClonesUnderGL(t *testing.T) {
 	a.SetKind(core.KindSource)
 	in := feed(a)
 	o1, o2 := NewStream("o1", 8), NewStream("o2", 8)
-	x := NewMultiplex("x", in, []*Stream{o1, o2}, &core.Genealog{})
+	x := NewMultiplex("x", in, []*Stream{o1, o2}, &core.Genealog{}, true)
 	runOps(t, x)
 	g1, g2 := drain(t, o1), drain(t, o2)
 	if len(g1) != 1 || len(g2) != 1 {
@@ -176,18 +176,21 @@ func TestMultiplexForwardsUnderNP(t *testing.T) {
 	a := vt(1, "k", 7)
 	in := feed(a)
 	o1, o2 := NewStream("o1", 8), NewStream("o2", 8)
-	x := NewMultiplex("x", in, []*Stream{o1, o2}, core.Noop{})
+	x := NewMultiplex("x", in, []*Stream{o1, o2}, core.Noop{}, false)
 	runOps(t, x)
 	g1, g2 := drain(t, o1), drain(t, o2)
 	if g1[0] != core.Tuple(a) || g2[0] != core.Tuple(a) {
 		t.Fatal("NP multiplex must forward the same object")
+	}
+	if a.Kind() != core.KindNone || a.U1() != nil {
+		t.Fatal("a sharing multiplex must leave the tuple's provenance untouched")
 	}
 }
 
 func TestMultiplexRejectsNonCloneable(t *testing.T) {
 	in := feed(&notCloneable{Base: core.NewBase(1)})
 	o1 := NewStream("o1", 8)
-	x := NewMultiplex("x", in, []*Stream{o1}, &core.Genealog{})
+	x := NewMultiplex("x", in, []*Stream{o1}, &core.Genealog{}, true)
 	err := x.Run(context.Background())
 	if !errors.Is(err, ErrNotCloneable) {
 		t.Fatalf("err = %v, want ErrNotCloneable", err)

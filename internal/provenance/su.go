@@ -11,8 +11,9 @@ import (
 //
 // Inter-process deployments need no extra configuration here: the GL
 // instrumenter assigns the ID meta-attribute when a tuple is created, and
-// Multiplex copies inherit it, so the delivering tuple the SU unfolds and
-// the sibling copy the Send serialises always carry the same ID.
+// Multiplex copies inherit it (where the planner lets the branches share the
+// object, there is only one), so the delivering tuple the SU unfolds and the
+// sibling copy the Send serialises always carry the same ID.
 type SUConfig struct {
 	// OnTraversal, when non-nil, observes the duration of each contribution
 	// graph traversal (the Fig. 14 measurement).

@@ -46,6 +46,9 @@ import (
 //     runs whenever WithVectorize is on — also with fusion off, where lone
 //     declared operators still vectorize individually.
 //
+// Before the passes, the planner decides per Multiplex whether its branches
+// share the input object or receive linked copies (decideMultiplexClones).
+//
 // With fusion disabled every logical node materialises as its own operator,
 // the pre-planner behaviour; with vectorization disabled every segment keeps
 // the row path. All passes are purely physical: sink bytes and contribution
@@ -135,6 +138,7 @@ func (b *Builder) plan() *physPlan {
 		inE[e.to] = append(inE[e.to], e)
 		outE[e.from] = append(outE[e.from], e)
 	}
+	b.decideMultiplexClones(outE)
 
 	var chains [][]*Node
 	chainByTail := make(map[*Node][]*Node)
@@ -309,6 +313,94 @@ func (b *Builder) plan() *physPlan {
 	return pl
 }
 
+// forwards reports whether a node of kind k may hand an input object on
+// unchanged: Filter, Union and Multiplex always do (a Multiplex at least when
+// it shares), a Map does when it emits its input.
+func forwards(k NodeKind) bool {
+	switch k {
+	case KindFilter, KindUnion, KindMultiplex, KindMap:
+		return true
+	default:
+		return false
+	}
+}
+
+// decideMultiplexClones sets every Multiplex node's clone decision. GL writes
+// one meta-attribute after a tuple is created: N, by the single Aggregate
+// that buffers it (paper §4.1). Branches may therefore share one object
+// unless two of them could write it. For every node creating objects (every
+// node that does not forward its input), the walk follows its outputs
+// through forwarding nodes and counts, per path, the arrivals at a possible
+// writer: an Aggregate (N) or a Custom node (unknown writes; Send and the
+// provenance collector are Custom). Sinks and Joins only read. A Map's own
+// outputs need no walk of their own: any walk reaching the Map covers them.
+// Each Multiplex takes the largest count of the walks through it, and the
+// instrumenter turns it into the decision: NP never clones, GL clones from
+// two writers up, BL always clones. Counting paths rather than nodes makes a
+// diamond (mux -> filter/filter -> union -> Aggregate) count two: one object
+// taking both paths would be buffered twice.
+func (b *Builder) decideMultiplexClones(outE map[*Node][]edge) {
+	// Counts saturate at two: the decision only tells 0, 1 and more apart.
+	// Both slices hold count+1 per node index, 0 meaning not yet visited.
+	const many = 2
+	below := make([]int8, len(b.nodes)) // writer paths from a forwarder down
+	walk := make([]int8, len(b.nodes))  // largest count of the walks through it
+	var count func(n *Node) int8        // writer paths of an object entering n
+	sumOut := func(n *Node) int8 {      // writer paths of an object n emits
+		var w int8
+		for _, e := range outE[n] {
+			if w += count(e.to); w >= many {
+				return many
+			}
+		}
+		return w
+	}
+	count = func(n *Node) int8 {
+		switch {
+		case n.kind == KindAggregate || n.kind == KindCustom:
+			return 1
+		case !forwards(n.kind):
+			return 0
+		case below[n.idx] == 0:
+			below[n.idx] = sumOut(n) + 1
+		}
+		return below[n.idx] - 1
+	}
+	var mark func(n *Node, w int8)
+	mark = func(n *Node, w int8) {
+		if !forwards(n.kind) || walk[n.idx] > w {
+			return // not a forwarder, or already reached by a walk counting >= w
+		}
+		walk[n.idx] = w + 1
+		for _, e := range outE[n] {
+			mark(e.to, w)
+		}
+	}
+	for _, n := range b.nodes {
+		if forwards(n.kind) {
+			continue
+		}
+		w := sumOut(n)
+		for _, e := range outE[n] {
+			mark(e.to, w)
+		}
+	}
+	for _, n := range b.nodes {
+		if n.kind == KindMultiplex {
+			n.clone = b.instr.NeedsMultiplexClone(max(int(walk[n.idx])-1, 0))
+		}
+	}
+}
+
+// kindDesc renders a logical node's kind for plan dumps, marking a
+// Multiplex that forwards the same object to every branch.
+func kindDesc(n *Node) string {
+	if n.kind == KindMultiplex && !n.clone {
+		return "multiplex shared"
+	}
+	return n.kind.String()
+}
+
 // colCapable reports whether a logical node declares the vectorized kernel
 // its kind needs (see ColSpec).
 func colCapable(n *Node) bool {
@@ -472,6 +564,9 @@ func stageFor(n *Node) ops.FusedStage {
 	case KindFilter:
 		return ops.FusedStage{Name: n.name, Kind: ops.StageFilter, Pred: n.pred}
 	case KindMultiplex:
+		if !n.clone {
+			return ops.FusedStage{Name: n.name, Kind: ops.StagePass}
+		}
 		return ops.FusedStage{Name: n.name, Kind: ops.StageMultiplex}
 	case KindUnion:
 		return ops.FusedStage{Name: n.name, Kind: ops.StagePass}
@@ -579,7 +674,7 @@ func (p *physNode) describe() string {
 	case physFused:
 		parts := make([]string, len(p.chain))
 		for i, n := range p.chain {
-			parts[i] = fmt.Sprintf("%s %s", n.kind, n.name)
+			parts[i] = fmt.Sprintf("%s %s", kindDesc(n), n.name)
 		}
 		if p.vec {
 			return "vectorized chain: " + strings.Join(parts, " => ")
@@ -635,6 +730,6 @@ func (p *physNode) describe() string {
 		if p.vec {
 			return p.node.kind.String() + " (vectorized)"
 		}
-		return p.node.kind.String()
+		return kindDesc(p.node)
 	}
 }

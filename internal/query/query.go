@@ -153,6 +153,12 @@ func (c *JoinColSpec) ops() ops.JoinColSpec {
 type Node struct {
 	name string
 	kind NodeKind
+	idx  int // position in the builder's node list
+
+	// clone is the planner's decision for a Multiplex: whether its branches
+	// receive per-branch copies or share the input object (set by every
+	// Build; see decideMultiplexClones).
+	clone bool
 
 	srcFn    ops.SourceFunc
 	sinkFn   ops.SinkFunc
@@ -435,6 +441,7 @@ func (b *Builder) add(n *Node) *Node {
 		return n
 	}
 	b.byName[n.name] = n
+	n.idx = len(b.nodes)
 	b.nodes = append(b.nodes, n)
 	return n
 }
@@ -1001,7 +1008,7 @@ func (b *Builder) materialise(n *Node, in, out []*ops.Stream, ports map[string]*
 		if len(out) == 0 {
 			return nil, errors.New("multiplex needs at least one output")
 		}
-		return ops.NewMultiplex(n.name, in[0], out, b.instr), nil
+		return ops.NewMultiplex(n.name, in[0], out, b.instr, n.clone), nil
 	case KindUnion:
 		if err := need(-1, 1); err != nil {
 			return nil, err

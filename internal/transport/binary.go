@@ -414,6 +414,9 @@ func ReadTupleWire(data []byte) (core.Tuple, []byte, error) {
 	if n == 0 {
 		return nil, data, nil
 	}
+	if n < 2 {
+		return nil, nil, fmt.Errorf("transport: nested tuple truncated (frame length %d has no type tag)", n)
+	}
 	if len(data) < int(n) {
 		return nil, nil, fmt.Errorf("transport: nested tuple truncated (%d < %d)", len(data), n)
 	}

@@ -375,3 +375,54 @@ func TestRegisterBinaryDuringLookups(t *testing.T) {
 		t.Fatalf("lateC registered under %d (%v), want 222", tag, ok)
 	}
 }
+
+// TestReadTupleWireOneByteFrame: a nested frame whose length prefix leaves no
+// room for the 2-byte type tag is a truncation error, not an index panic in
+// the decoding goroutine.
+func TestReadTupleWireOneByteFrame(t *testing.T) {
+	_, _, err := ReadTupleWire([]byte{0x01, 0x00, 0x00, 0x00, 0x07})
+	if err == nil || !strings.Contains(err.Error(), "nested tuple truncated") {
+		t.Fatalf("err = %v, want a nested-tuple truncation error", err)
+	}
+}
+
+// FuzzReadTupleWire throws arbitrary bytes at the nested-tuple decoder: it
+// must return an error or a tuple, never panic, and a decoded tuple must
+// re-encode to a frame that decodes to the same bytes again.
+func FuzzReadTupleWire(f *testing.F) {
+	registerBinaryTest()
+	f.Add([]byte{0x01, 0x00, 0x00, 0x00, 0x07})
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00})
+	for _, tup := range []core.Tuple{
+		&bwTuple{Base: core.NewBase(3), A: 1, B: 2},
+		&bwNested{Base: core.NewBase(4), Inner: &bwTuple{Base: core.NewBase(2), A: 5}},
+		core.NewHeartbeat(8),
+	} {
+		seed, err := AppendTupleWire(nil, tup)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tup, _, err := ReadTupleWire(data)
+		if err != nil || tup == nil {
+			return
+		}
+		once, err := AppendTupleWire(nil, tup)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded %T: %v", tup, err)
+		}
+		again, _, err := ReadTupleWire(once)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded %T: %v", tup, err)
+		}
+		twice, err := AppendTupleWire(nil, again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("round trip not stable:\n%x\n%x", once, twice)
+		}
+	})
+}
