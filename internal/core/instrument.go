@@ -21,8 +21,9 @@ type Instrumenter interface {
 	// OnSource is invoked for every tuple created by a Source.
 	OnSource(t Tuple)
 	// OnMap is invoked for each output tuple of a Map and links it to the
-	// input tuple it was derived from. A Map that forwards its input
-	// (out == in) created nothing, and GL leaves the tuple untouched.
+	// input tuple it was derived from. It never receives out == in: a Map
+	// that forwards its input (an identity kernel, or a closure emitting
+	// what it received) created nothing, and the operators skip the hook.
 	OnMap(out, in Tuple)
 	// OnMultiplex links one fresh per-branch copy to the multiplexed input.
 	OnMultiplex(out, in Tuple)
@@ -106,9 +107,9 @@ func (g *Genealog) OnSource(t Tuple) {
 	}
 }
 
-// OnMap implements Instrumenter: T := MAP, U1 := in. A Map forwarding its
-// input (an identity kernel, or a row Map emitting what it received) is a
-// no-op: linking the tuple to itself would cut it off from its sources.
+// OnMap implements Instrumenter: T := MAP, U1 := in. Operators never report
+// a self-map; a direct caller's out == in is still a no-op, because linking
+// the tuple to itself would cut it off from its sources.
 func (g *Genealog) OnMap(out, in Tuple) {
 	m := MetaOf(out)
 	if m == nil || m == MetaOf(in) {

@@ -1,5 +1,12 @@
 package core
 
+// scanLimit is the number of discovered tuples up to which FindProvenance's
+// BFS queue doubles as its visited set, searched linearly. A typical sink's
+// contribution graph is a few dozen tuples, where a scan is cheaper than
+// hashing interface values and needs no map allocation; a larger graph
+// switches to a map once it outgrows the limit, keeping traversal linear.
+const scanLimit = 32
+
 // FindProvenance traverses the contribution graph rooted at root and returns
 // its originating tuples (paper Definition 4.1): the tuples of kind SOURCE
 // or REMOTE reachable through the U1/U2/N meta-attributes. It is a direct
@@ -12,25 +19,45 @@ package core
 // treated as its own originating tuple so that traversal degrades gracefully
 // when provenance capture is off.
 func FindProvenance(root Tuple) []Tuple {
-	var result []Tuple
-	visited := make(map[Tuple]struct{})
-	queue := make([]Tuple, 0, 8)
+	if root == nil {
+		return nil
+	}
+	// Both buffers start on the stack: result is copied out once at the
+	// end, and every tuple ever enqueued stays in queue (head walks it), so
+	// queue is the visited set until visited takes over past scanLimit.
+	var resBuf, queueBuf [scanLimit]Tuple
+	result := resBuf[:0]
+	queue := append(queueBuf[:0], root)
+	var visited map[Tuple]struct{}
 
 	enqueue := func(t Tuple) {
 		if t == nil {
 			return
 		}
-		if _, ok := visited[t]; ok {
-			return
+		if visited != nil {
+			if _, ok := visited[t]; ok {
+				return
+			}
+			visited[t] = struct{}{}
+		} else {
+			for _, q := range queue {
+				if q == t {
+					return
+				}
+			}
+			if len(queue) == scanLimit {
+				visited = make(map[Tuple]struct{}, 2*scanLimit)
+				for _, q := range queue {
+					visited[q] = struct{}{}
+				}
+				visited[t] = struct{}{}
+			}
 		}
-		visited[t] = struct{}{}
 		queue = append(queue, t)
 	}
 
-	enqueue(root)
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		t := queue[head]
 		m := MetaOf(t)
 		if m == nil {
 			result = append(result, t)
@@ -63,7 +90,10 @@ func FindProvenance(root Tuple) []Tuple {
 			enqueue(m.U1())
 		}
 	}
-	return result
+	if len(result) == 0 {
+		return nil
+	}
+	return append([]Tuple(nil), result...)
 }
 
 // CountProvenance returns the number of originating tuples of root without

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -344,5 +345,176 @@ func TestFindProvenanceRandomDAGProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceProvenance is the map-based BFS of the paper's Listing 1, kept
+// as the oracle for FindProvenance's scan-then-map visited set. It also
+// returns the number of tuples it visited.
+func referenceProvenance(root Tuple) ([]Tuple, int) {
+	var result []Tuple
+	visited := map[Tuple]struct{}{}
+	var queue []Tuple
+	enqueue := func(t Tuple) {
+		if t == nil {
+			return
+		}
+		if _, ok := visited[t]; ok {
+			return
+		}
+		visited[t] = struct{}{}
+		queue = append(queue, t)
+	}
+	enqueue(root)
+	for len(queue) > 0 {
+		t := queue[0]
+		queue = queue[1:]
+		m := MetaOf(t)
+		if m == nil {
+			result = append(result, t)
+			continue
+		}
+		switch m.Kind() {
+		case KindSource, KindRemote, KindNone:
+			result = append(result, t)
+		case KindMap, KindMultiplex:
+			enqueue(m.U1())
+		case KindJoin:
+			enqueue(m.U1())
+			enqueue(m.U2())
+		case KindAggregate:
+			enqueue(m.U2())
+			if u2 := MetaOf(m.U2()); u2 != nil && m.U1() != m.U2() {
+				for temp := u2.Next(); temp != nil && temp != m.U1(); temp = MetaOf(temp).Next() {
+					enqueue(temp)
+				}
+			}
+			enqueue(m.U1())
+		}
+	}
+	return result, len(visited)
+}
+
+// sharedDAG builds a contribution graph whose sub-graphs are shared: every
+// step reads random earlier nodes, and a sliding aggregate emits several
+// overlapping windows over one N chain (the chain runs past each window's
+// U1, as it does while a group's later windows are still open). The root
+// joins the last few nodes, so its graph holds many shared tuples.
+func sharedDAG(rng *rand.Rand, sources, steps int) Tuple {
+	var pool []Tuple
+	for i := 0; i < sources; i++ {
+		pool = append(pool, source(fmt.Sprintf("s%d", i), int64(i)))
+	}
+	pick := func() Tuple { return pool[rng.Intn(len(pool))] }
+	for i := 0; i < steps; i++ {
+		switch rng.Intn(4) {
+		case 0:
+			m := newLabel("m", 0)
+			m.SetKind(KindMap)
+			m.SetU1(pick())
+			pool = append(pool, m)
+		case 1:
+			m := newLabel("x", 0)
+			m.SetKind(KindMultiplex)
+			m.SetU1(pick())
+			pool = append(pool, m)
+		case 2:
+			j := newLabel("j", 0)
+			j.SetKind(KindJoin)
+			j.SetU1(pick())
+			j.SetU2(pick())
+			pool = append(pool, j)
+		case 3:
+			// One group's buffer: a chain of fresh MAP wrappers, closed by
+			// 1..3 overlapping windows.
+			n := 1 + rng.Intn(12)
+			chain := make([]*labelTuple, n)
+			for k := range chain {
+				w := newLabel("w", 0)
+				w.SetKind(KindMap)
+				w.SetU1(pick())
+				chain[k] = w
+				if k > 0 {
+					chain[k-1].SetNext(w)
+				}
+			}
+			for c := 1 + rng.Intn(3); c > 0; c-- {
+				lo := rng.Intn(n)
+				hi := lo + rng.Intn(n-lo)
+				a := newLabel("a", 0)
+				a.SetKind(KindAggregate)
+				a.SetU2(chain[lo])
+				a.SetU1(chain[hi])
+				pool = append(pool, a)
+			}
+		}
+	}
+	root := pool[len(pool)-1]
+	for k := 2 + rng.Intn(4); k > 0 && len(pool) > k; k-- {
+		j := newLabel("root", 0)
+		j.SetKind(KindJoin)
+		j.SetU1(root)
+		j.SetU2(pool[len(pool)-1-k])
+		root = j
+	}
+	return root
+}
+
+func sameTuples(a, b []Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFindProvenanceMatchesMapReference holds FindProvenance's queue-as-
+// visited-set traversal to the map-based BFS: the same originating tuples in
+// the same discovery order, on graphs both below and above scanLimit.
+func TestFindProvenanceMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	small, large := 0, 0
+	for i := 0; i < 2000; i++ {
+		root := sharedDAG(rng, 1+rng.Intn(30), rng.Intn(40))
+		want, visited := referenceProvenance(root)
+		if visited > scanLimit {
+			large++
+		} else {
+			small++
+		}
+		if got := FindProvenance(root); !sameTuples(got, want) {
+			t.Fatalf("graph %d (%d tuples): FindProvenance = %v, reference = %v", i, visited, labels(got), labels(want))
+		}
+	}
+	if small == 0 || large == 0 {
+		t.Fatalf("graphs not spread around scanLimit: %d within, %d beyond", small, large)
+	}
+
+	// One wide window: 100 sources through one N chain, far past the limit.
+	var win []*labelTuple
+	for i := 0; i < 100; i++ {
+		win = append(win, source(fmt.Sprintf("w%d", i), int64(i)))
+		if i > 0 {
+			win[i-1].SetNext(win[i])
+		}
+	}
+	agg := newLabel("agg", 0)
+	agg.SetKind(KindAggregate)
+	agg.SetU2(win[0])
+	agg.SetU1(win[99])
+	j := newLabel("j", 0)
+	j.SetKind(KindJoin)
+	j.SetU1(agg)
+	j.SetU2(win[50]) // already reached through the chain
+	want, visited := referenceProvenance(j)
+	if visited <= scanLimit || len(want) != 100 {
+		t.Fatalf("wide window: reference visited %d tuples, found %d sources", visited, len(want))
+	}
+	if got := FindProvenance(j); !sameTuples(got, want) {
+		t.Fatalf("wide window: FindProvenance = %v, reference = %v", labels(got), labels(want))
 	}
 }

@@ -61,10 +61,10 @@ func (s ColStage) validate() error {
 // Vectorization is purely physical, exactly like fusion: survivors are the
 // very tuple objects the row path would forward (Filter) or the kernel's
 // outputs linked through the instrumenter with merged stimulus (Map, OnMap
-// per stage), dropped tuples advertise watermark progress once per distinct
-// event time in row order, and heartbeats are forwarded coalesced. The
-// sink-observable output and every contribution graph are byte-identical to
-// the same stages running as a FusedChain or as standalone operators.
+// per created output), dropped tuples advertise watermark progress once per
+// distinct event time in row order, and heartbeats are forwarded coalesced.
+// The sink-observable output and every contribution graph are byte-identical
+// to the same stages running as a FusedChain or as standalone operators.
 type ColChain struct {
 	name   string
 	in     *Stream
@@ -234,14 +234,9 @@ func (c *ColChain) processRun(rows []core.Tuple) {
 			if outs == nil {
 				// Identity: every selected row maps to itself. Nothing to
 				// materialise, no stimulus to merge (a self-merge is a
-				// no-op), and the extracted columns stay valid; only the
-				// instrumenter needs to see each self-map. c.outs keeps its
+				// no-op), no self-map to report to the instrumenter, and
+				// the extracted columns stay valid. c.outs keeps its
 				// buffer for a later transform stage.
-				if !c.noopInstr {
-					for _, pos := range sel {
-						c.instr.OnMap(rows[pos], rows[pos])
-					}
-				}
 				continue
 			}
 			c.outs = outs
@@ -254,19 +249,20 @@ func (c *ColChain) processRun(rows []core.Tuple) {
 			for i, pos := range sel {
 				out, in := c.outs[i], rows[pos]
 				if out != in {
-					// Merging a tuple's stimulus into itself is a no-op, so
-					// identity outputs skip the meta lookups and the row
+					// Merging a tuple's stimulus into itself is a no-op and
+					// the instrumenter never sees a self-map, so identity
+					// outputs skip the meta lookups, the hook and the row
 					// write. (Returning the input tuple means it is
 					// unchanged; a kernel must not mutate a tuple it passes
 					// through.)
 					if om, im := core.MetaOf(out), core.MetaOf(in); om != nil && im != nil {
 						om.MergeStimulus(im.Stimulus())
 					}
+					if !c.noopInstr {
+						c.instr.OnMap(out, in)
+					}
 					rows[pos] = out
 					changed = true
-				}
-				if !c.noopInstr {
-					c.instr.OnMap(out, in)
 				}
 			}
 			// c.outs keeps its references until the next map stage

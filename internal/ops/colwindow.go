@@ -17,6 +17,11 @@ import (
 // runs through a ColBatch first, so the per-append cost is one copy per
 // column); purges shift every column together, mirroring the row path's
 // prefix purge.
+//
+// A window that purges its last row is compacted to length zero with every
+// reference slot (rows, metas, strings) cleared, so an empty ColWindow pins
+// no tuple and its backing arrays can be reused by another group: that is
+// how ColAggregate recycles retired groups.
 type ColWindow struct {
 	schema *ColSchema
 	// off is the retired prefix of every backing slice: purges advance it in
@@ -281,6 +286,15 @@ func (c AggColSpec) validate(row AggregateSpec) error {
 // OnAggregateLink/OnAggregateEmit calls and contribution sets as the row
 // operator. Sink bytes and traversed provenance are byte-identical across
 // the row, fused and vectorized plans.
+//
+// Window state is recycled: a group whose window empties (every group, at
+// each close of a tumbling window) moves its ColWindow to a free list, and
+// the next new group takes a window from the list before it allocates one,
+// keeping the grown column capacity. A recycled window pins nothing — purge
+// cleared its reference slots and compacted it to length zero — so the GC
+// still reclaims every retired tuple (challenge C2). The list only holds
+// windows that were live at the same time, so it never exceeds the peak
+// number of live groups.
 type ColAggregate struct {
 	name   string
 	in     *Stream
@@ -291,6 +305,11 @@ type ColAggregate struct {
 	prefix []ColStage
 
 	groups map[string]*ColWindow
+	// free holds the windows of retired groups, emptied and compacted by
+	// purge, for ingest to reuse before it builds a new one: a tumbling
+	// window retires every group it closes, and without the list each group
+	// would regrow all of its columns from zero in every window.
+	free []*ColWindow
 	// keyOrder holds the live group keys sorted ascending, maintained on
 	// group creation and retirement: emissions walk it in order, so closing
 	// a window never sorts.
@@ -314,6 +333,7 @@ type ColAggregate struct {
 	runInts   [][]int64
 	runFloats [][]float64
 	runStrs   [][]string
+	seg       ColSeg
 	noopInstr bool
 }
 
@@ -440,11 +460,7 @@ func (a *ColAggregate) processRun(ctx context.Context, rows []core.Tuple) error 
 			}
 			outs := st.Map(&a.cb, sel, dst)
 			if outs == nil {
-				if !a.noopInstr {
-					for _, pos := range sel {
-						a.instr.OnMap(rows[pos], rows[pos])
-					}
-				}
+				// Identity: nothing to merge or report (see ColChain).
 				continue
 			}
 			a.outs = outs
@@ -459,11 +475,11 @@ func (a *ColAggregate) processRun(ctx context.Context, rows []core.Tuple) error 
 					if om, im := core.MetaOf(out), core.MetaOf(in); om != nil && im != nil {
 						om.MergeStimulus(im.Stimulus())
 					}
+					if !a.noopInstr {
+						a.instr.OnMap(out, in)
+					}
 					rows[pos] = out
 					changed = true
-				}
-				if !a.noopInstr {
-					a.instr.OnMap(out, in)
 				}
 			}
 			if changed {
@@ -546,7 +562,12 @@ func (a *ColAggregate) ingest(ctx context.Context, t core.Tuple, ts int64, key s
 	}
 	g := a.groups[key]
 	if g == nil {
-		g = newColWindow(a.col.Schema)
+		if n := len(a.free); n > 0 {
+			g = a.free[n-1]
+			a.free = a.free[:n-1]
+		} else {
+			g = newColWindow(a.col.Schema)
+		}
 		a.groups[key] = g
 		i := sort.SearchStrings(a.keyOrder, key)
 		a.keyOrder = append(a.keyOrder, "")
@@ -587,8 +608,10 @@ func (a *ColAggregate) emitDue(ctx context.Context) error {
 		if lo >= hi {
 			continue
 		}
-		seg := g.seg(lo, hi)
-		out := a.col.Fold(&seg, start, end, key)
+		// The segment handed to the kernel lives in the operator: a local
+		// would escape through the indirect call, one allocation per fold.
+		a.seg = g.seg(lo, hi)
+		out := a.col.Fold(&a.seg, start, end, key)
 		if out == nil {
 			continue
 		}
@@ -639,7 +662,8 @@ func (a *ColAggregate) advertise(ctx context.Context, inputWatermark int64) erro
 }
 
 // advance moves to the next window and purges rows no future window can
-// contain, fast-forwarding over empty windows.
+// contain, fast-forwarding over empty windows. A group whose window empties
+// retires to the free list.
 func (a *ColAggregate) advance() {
 	a.nextStart += a.spec.WA
 	keep := a.keyOrder[:0]
@@ -653,6 +677,7 @@ func (a *ColAggregate) advance() {
 		g.purge(i)
 		if g.Len() == 0 {
 			delete(a.groups, key)
+			a.free = append(a.free, g)
 		} else {
 			keep = append(keep, key)
 		}

@@ -1,8 +1,12 @@
 package ops
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"genealog/internal/core"
 )
@@ -352,4 +356,94 @@ func TestColStatefulValidation(t *testing.T) {
 		probe := func(t core.Tuple, cand *ColSeg, sel, dst []int) []int { return dst }
 		NewColJoin("j", l, r, out, keyedJoin, JoinColSpec{ResidualL: probe, ResidualR: probe}, nil, nil, core.Noop{})
 	})
+}
+
+// tumblingAgg returns a keyed tumbling ColAggregate over vTuples for tests
+// that drive processRun directly. Its output stream batches up to 4096
+// tuples, so the emissions of a few windows stay pending without a consumer.
+func tumblingAgg(ws int64, instr core.Instrumenter) (*ColAggregate, *Stream) {
+	out := NewBatchedStream("out", 1<<12, 1<<12)
+	spec := AggregateSpec{WS: ws, WA: ws, Key: keyOf, Fold: sumFold}
+	col := AggColSpec{Schema: vSchema(), Key: vecKeyKernel, Fold: vecSumFold}
+	return NewColAggregate("agg", NewStream("in", 0), out, spec, col, nil, instr), out
+}
+
+// windowRows returns the input of tumbling window w, [w*ws, (w+1)*ws): at
+// every event time one tuple per key, in key order.
+func windowRows(w, ws int64, keys []string) []core.Tuple {
+	rows := make([]core.Tuple, 0, int(ws)*len(keys))
+	for ts := w * ws; ts < (w+1)*ws; ts++ {
+		for i, k := range keys {
+			rows = append(rows, vt(ts, k, ts+int64(i)))
+		}
+	}
+	return rows
+}
+
+// ingestRuns feeds rows to a through processRun in runs of 64, the way Run
+// hands it heartbeat-free slices of a batch.
+func ingestRuns(t testing.TB, a *ColAggregate, rows []core.Tuple) {
+	t.Helper()
+	for lo := 0; lo < len(rows); lo += 64 {
+		if err := a.processRun(context.Background(), rows[lo:min(lo+64, len(rows))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// drainPending publishes and consumes everything out holds, so the
+// test keeps no reference to the emitted tuples (whose GL links point into
+// the windows they folded).
+func drainPending(t testing.TB, out *Stream) int {
+	t.Helper()
+	ctx := context.Background()
+	if err := out.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for out.CanRecv() {
+		b, ok, err := out.RecvBatch(ctx)
+		if err != nil || !ok {
+			t.Fatalf("drain: ok=%v err=%v", ok, err)
+		}
+		n += len(b)
+	}
+	return n
+}
+
+// TestColAggregateRecycledWindowsPinNothing: the windows a tumbling
+// ColAggregate retires to its free list must not keep any buffered tuple
+// reachable (challenge C2) — once the windows have closed and their outputs
+// are gone, the GC reclaims every tuple they held.
+func TestColAggregateRecycledWindowsPinNothing(t *testing.T) {
+	const ws, windows = 16, 5
+	keys := []string{"a", "b", "c", "d"}
+	a, out := tumblingAgg(ws, &core.Genealog{})
+	var reclaimed atomic.Int64
+	total := 0
+	for w := int64(0); w < windows; w++ {
+		rows := windowRows(w, ws, keys)
+		for _, r := range rows {
+			runtime.AddCleanup(r.(*vTuple), func(int) { reclaimed.Add(1) }, 0)
+		}
+		total += len(rows)
+		ingestRuns(t, a, rows)
+	}
+	// One untracked tuple past the last window closes it, recycles a
+	// window for its own group and rebinds the operator's run scratch.
+	ingestRuns(t, a, []core.Tuple{vt(windows*ws, "a", 0)})
+	if n := drainPending(t, out); n < windows*len(keys) {
+		t.Fatalf("drained %d outputs, want at least %d window results", n, windows*len(keys))
+	}
+	if len(a.free) == 0 {
+		t.Fatal("no window on the free list after the tumbling windows closed")
+	}
+	for i := 0; i < 100 && reclaimed.Load() < int64(total); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := reclaimed.Load(); got != int64(total) {
+		t.Fatalf("%d of %d buffered tuples reclaimed with %d windows on the free list", got, total, len(a.free))
+	}
+	runtime.KeepAlive(a)
 }

@@ -82,12 +82,13 @@ func (s FusedStage) validate() error {
 // overhead the paper's fixed-per-tuple provenance cost competes with.
 //
 // Fusion is purely physical: every instrumenter hook fires once per logical
-// stage exactly as in the unfused chain (OnMap per Map stage, OnMultiplex
-// per cloning pass-through), dropped tuples advertise watermark progress
-// with a Heartbeat once per distinct event time, and heartbeats entering the
-// chain are forwarded (coalesced against the chain's output watermark). The
-// sink-observable output and every tuple's contribution graph are identical
-// to running the stages as separate operators.
+// stage exactly as in the unfused chain (OnMap per tuple a Map stage
+// creates, OnMultiplex per cloning pass-through), dropped tuples advertise
+// watermark progress with a Heartbeat once per distinct event time, and
+// heartbeats entering the chain are forwarded (coalesced against the chain's
+// output watermark). The sink-observable output and every tuple's
+// contribution graph are identical to running the stages as separate
+// operators.
 type FusedChain struct {
 	name   string
 	in     *Stream
@@ -211,10 +212,12 @@ func newStageApplier(stages []FusedStage, instr core.Instrumenter, deliver func(
 				if a.err != nil {
 					return
 				}
-				if om, im := core.MetaOf(out), core.MetaOf(cur); om != nil && im != nil {
-					om.MergeStimulus(im.Stimulus())
+				if out != cur {
+					if om, im := core.MetaOf(out), core.MetaOf(cur); om != nil && im != nil {
+						om.MergeStimulus(im.Stimulus())
+					}
+					instr.OnMap(out, cur)
 				}
-				instr.OnMap(out, cur)
 				emitted = true
 				next(out)
 			}

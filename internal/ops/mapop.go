@@ -55,10 +55,14 @@ func (m *Map) Run(ctx context.Context) error {
 		if emitErr != nil {
 			return
 		}
-		if om, im := core.MetaOf(out), core.MetaOf(cur); om != nil && im != nil {
-			om.MergeStimulus(im.Stimulus())
+		// A closure emitting its input created nothing: no stimulus to
+		// merge into itself, no self-map for the instrumenter.
+		if out != cur {
+			if om, im := core.MetaOf(out), core.MetaOf(cur); om != nil && im != nil {
+				om.MergeStimulus(im.Stimulus())
+			}
+			m.instr.OnMap(out, cur)
 		}
-		m.instr.OnMap(out, cur)
 		emitted = true
 		m.lastOut, m.haveLast = out.Timestamp(), true
 		emitErr = m.out.Send(ctx, out)
