@@ -10,6 +10,11 @@
 // with window sizes and query depth (violating C1), and the source store
 // grows with the stream (violating C2) — which is why BL's throughput
 // collapses and its memory becomes the bottleneck in Figs. 12 and 13.
+//
+// The annotation list has no field of its own in core.Meta: it rides in the
+// N slot, which BL never links (OnAggregateLink is a no-op), so NP and GL
+// tuples do not pay for it. Meta.Annotation and Meta.SetAnnotation are its
+// only accessors; Meta.Next never returns it.
 package baseline
 
 import (

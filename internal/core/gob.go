@@ -15,8 +15,9 @@ const wireMetaVersion = 1
 // inter-process reality the paper's §6 algorithm (REMOTE tuples + IDs +
 // SU/MU unfolders) exists to handle.
 func (m *Meta) GobEncode() ([]byte, error) {
+	ann := m.Annotation()
 	var buf bytes.Buffer
-	buf.Grow(8*(4+len(m.ann)) + 2)
+	buf.Grow(8*(4+len(ann)) + 2)
 	var scratch [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(scratch[:], v)
@@ -27,8 +28,8 @@ func (m *Meta) GobEncode() ([]byte, error) {
 	put(uint64(m.ts))
 	put(uint64(m.stim))
 	put(m.id)
-	put(uint64(len(m.ann)))
-	for _, a := range m.ann {
+	put(uint64(len(ann)))
+	for _, a := range ann {
 		put(a)
 	}
 	return buf.Bytes(), nil
@@ -55,12 +56,12 @@ func (m *Meta) GobDecode(data []byte) error {
 		return fmt.Errorf("core: meta wire data truncated: have %d bytes, want %d", len(rest), want)
 	}
 	m.u1, m.u2, m.next = nil, nil, nil
-	m.ann = nil
 	if n > 0 {
-		m.ann = make([]uint64, n)
-		for i := range m.ann {
-			m.ann[i] = get(4 + i)
+		ann := make([]uint64, n)
+		for i := range ann {
+			ann[i] = get(4 + i)
 		}
+		m.SetAnnotation(ann)
 	}
 	return nil
 }

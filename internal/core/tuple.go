@@ -10,6 +10,11 @@
 // that contribute to it, and the Go garbage collector reclaims a source
 // tuple as soon as no in-flight tuple's contribution graph references it
 // (challenge C2 of the paper).
+//
+// The per-tuple cost is fixed (challenge C1): Meta is T, the ID, the event
+// time and stimulus, and the three links, 80 bytes on a 64-bit platform,
+// whatever the mode. The BL baseline's variable-length annotation list has
+// no field of its own; it rides in the N slot, which BL never uses.
 package core
 
 // Kind identifies the operator that created a tuple. It is the paper's
@@ -89,15 +94,23 @@ type Cloneable interface {
 // The embedded Meta provides Timestamp, ProvMeta and the stimulus plumbing,
 // so the struct satisfies core.Traceable.
 //
+// Layout: ts, stim, id, kind, u1, u2, next — 80 bytes on a 64-bit platform,
+// the same under NP, GL and BL. The next slot holds GL's N, or, under BL,
+// the tuple's annotation list boxed in an unexported type: BL never links N
+// (its OnAggregateLink is a no-op) and GL never annotates, so the two never
+// meet on one tuple. Next hides the box, and Annotation reads only the box.
+//
 // Concurrency: u1 and u2 are written exactly once, by the operator that
-// creates the tuple, before the tuple is sent downstream. next is written at
-// most once, by the single Aggregate that buffers the tuple, and every
-// window emission that can observe the write happens after it (the write
-// precedes the channel send of the emitted window result). A Multiplex may
-// hand the same object to several branches; next still has a single writer
-// per object because the query planner clones at every Multiplex where two
-// branches could reach an Aggregate (or an operator of unknown writes)
-// with the same object. Traversal therefore needs no synchronisation.
+// creates the tuple, before the tuple is sent downstream. Under GL, next is
+// written at most once, by the single Aggregate that buffers the tuple, and
+// every window emission that can observe the write happens after it (the
+// write precedes the channel send of the emitted window result). A
+// Multiplex may hand the same object to several branches; next still has a
+// single writer per object because the query planner clones at every
+// Multiplex where two branches could reach an Aggregate (or an operator of
+// unknown writes) with the same object. Under BL, next is written only by
+// the operator creating the tuple (its annotation), and BL clones at every
+// Multiplex. Traversal therefore needs no synchronisation.
 type Meta struct {
 	ts   int64
 	stim int64
@@ -105,9 +118,15 @@ type Meta struct {
 	kind Kind
 	u1   Tuple
 	u2   Tuple
-	next Tuple
-	ann  []uint64 // baseline (Ariadne-style) annotation list; nil under NP/GL
+	next Tuple // GL's N, or BL's annotation list as an annotation box
 }
+
+// annotation boxes the BL baseline's source-ID list so it fits Meta's N
+// slot. It satisfies Tuple only to fit the slot: Next never returns it.
+type annotation []uint64
+
+// Timestamp implements Tuple; an annotation has no event time.
+func (annotation) Timestamp() int64 { return 0 }
 
 // NewMeta returns a Meta carrying the given event time.
 func NewMeta(ts int64) Meta { return Meta{ts: ts} }
@@ -154,8 +173,14 @@ func (m *Meta) U1() Tuple { return m.u1 }
 func (m *Meta) U2() Tuple { return m.u2 }
 
 // Next returns the N meta-attribute: the successor of this tuple inside its
-// aggregate group, used to walk a window's contents from U2 to U1.
-func (m *Meta) Next() Tuple { return m.next }
+// aggregate group, used to walk a window's contents from U2 to U1. It is nil
+// on a tuple whose N slot holds a BL annotation list.
+func (m *Meta) Next() Tuple {
+	if _, ok := m.next.(annotation); ok {
+		return nil
+	}
+	return m.next
+}
 
 // SetU1 sets the U1 reference.
 func (m *Meta) SetU1(t Tuple) { m.u1 = t }
@@ -165,7 +190,8 @@ func (m *Meta) SetU2(t Tuple) { m.u2 = t }
 
 // SetNext sets the N reference. It must be written at most once per tuple,
 // before any downstream observer can reach the tuple through a window
-// emission (see the concurrency note on Meta).
+// emission (see the concurrency note on Meta). It replaces an annotation
+// list, which shares the slot.
 func (m *Meta) SetNext(t Tuple) { m.next = t }
 
 // ID returns the tuple's unique identifier, used by the inter-process
@@ -179,18 +205,29 @@ func (m *Meta) SetID(id uint64) { m.id = id }
 // Annotation returns the baseline's variable-length list of contributing
 // source-tuple IDs. It is nil under NP and GL; its unbounded growth is the
 // pathology GeneaLog eliminates (challenge C1).
-func (m *Meta) Annotation() []uint64 { return m.ann }
+func (m *Meta) Annotation() []uint64 {
+	a, _ := m.next.(annotation)
+	return a
+}
 
-// SetAnnotation replaces the baseline annotation list.
-func (m *Meta) SetAnnotation(ids []uint64) { m.ann = ids }
+// SetAnnotation replaces the baseline annotation list. The list lives in
+// the N slot, so a non-nil list replaces an N reference; a nil list clears
+// a list but leaves an N reference alone.
+func (m *Meta) SetAnnotation(ids []uint64) {
+	if ids != nil {
+		m.next = annotation(ids)
+	} else if _, ok := m.next.(annotation); ok {
+		m.next = nil
+	}
+}
 
-// ResetProvenance clears every provenance meta-attribute (but keeps event
-// time and stimulus). CloneTuple implementations call it on copies.
+// ResetProvenance clears every provenance meta-attribute, the annotation
+// list included (but keeps event time and stimulus). CloneTuple
+// implementations call it on copies.
 func (m *Meta) ResetProvenance() {
 	m.id = 0
 	m.kind = KindNone
 	m.u1, m.u2, m.next = nil, nil, nil
-	m.ann = nil
 }
 
 // MetaOf returns the provenance metadata of t, or nil if t does not carry

@@ -29,6 +29,9 @@ import (
 //	u16 type tag
 //	meta: u8 kind, i64 ts, i64 stim, u64 id, u16 annotation count, u64...
 //	body: the tuple's MarshalWire output
+//
+// A tuple whose baseline annotation holds more IDs than the u16 count can
+// say fails to encode.
 type BinaryCodec struct{}
 
 var _ Codec = BinaryCodec{}
@@ -275,8 +278,13 @@ func (d *binaryDecoder) readFrame(n uint32) (core.Tuple, error) {
 	return t, nil
 }
 
+// maxWireAnnotation is the longest baseline annotation list a frame's u16
+// count can carry; AppendTupleWire rejects a longer one.
+const maxWireAnnotation = math.MaxUint16
+
 // appendMeta writes the wire-relevant Meta fields (same content as the gob
 // path: kind, ts, stimulus, ID, baseline annotation; pointers are dropped).
+// The annotation must hold at most maxWireAnnotation IDs.
 func appendMeta(buf []byte, m *core.Meta, ts int64) []byte {
 	var kind core.Kind
 	var stim int64
@@ -388,10 +396,14 @@ func AppendTupleWire(buf []byte, t core.Tuple) ([]byte, error) {
 			return nil, fmt.Errorf("transport: type %T does not implement WireTuple", t)
 		}
 	}
+	m := core.MetaOf(t)
+	if m != nil && len(m.Annotation()) > maxWireAnnotation {
+		return nil, fmt.Errorf("transport: %T carries %d annotation IDs, the binary frame holds at most %d", t, len(m.Annotation()), maxWireAnnotation)
+	}
 	lenAt := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // patched below
 	buf = binary.LittleEndian.AppendUint16(buf, tag)
-	buf = appendMeta(buf, core.MetaOf(t), t.Timestamp())
+	buf = appendMeta(buf, m, t.Timestamp())
 	if wt != nil {
 		var err error
 		buf, err = wt.MarshalWire(buf)

@@ -426,3 +426,39 @@ func FuzzReadTupleWire(f *testing.F) {
 		}
 	})
 }
+
+// TestBinaryAnnotationLimit: a frame counts annotation IDs in a u16, so a
+// longer baseline list must fail the encode instead of wrapping the count
+// and corrupting the frame; the longest list that fits round-trips.
+func TestBinaryAnnotationLimit(t *testing.T) {
+	registerBinaryTest()
+	ann := make([]uint64, maxWireAnnotation+2)
+	for i := range ann {
+		ann[i] = uint64(i + 1)
+	}
+	for _, n := range []int{maxWireAnnotation + 1, maxWireAnnotation + 2} {
+		in := &bwTuple{Base: core.NewBase(1), A: 5}
+		in.SetAnnotation(ann[:n])
+		if _, err := AppendTupleWire(nil, in); err == nil || !strings.Contains(err.Error(), "annotation") {
+			t.Fatalf("%d IDs: AppendTupleWire err = %v, want an annotation-length error", n, err)
+		}
+		if err := (BinaryCodec{}).NewEncoder(io.Discard).Encode(in); err == nil {
+			t.Fatalf("%d IDs: Encode succeeded", n)
+		}
+	}
+
+	in := &bwTuple{Base: core.NewBase(1), A: 5}
+	in.SetAnnotation(ann[:maxWireAnnotation])
+	frame, err := AppendTupleWire(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, rest, err := ReadTupleWire(frame)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("ReadTupleWire = (%v, %d bytes left)", err, len(rest))
+	}
+	out := got.(*bwTuple)
+	if out.A != 5 || !reflect.DeepEqual(out.ProvMeta().Annotation(), ann[:maxWireAnnotation]) {
+		t.Fatalf("round trip of %d IDs lost data: A=%d, %d IDs", maxWireAnnotation, out.A, len(out.ProvMeta().Annotation()))
+	}
+}

@@ -21,13 +21,20 @@ type Pipe struct {
 	mu       sync.Mutex
 	notFull  *sync.Cond
 	notEmpty *sync.Cond
-	buf      []byte
-	max      int
-	closed   bool
+	// buf is a ring: the n unread bytes start at head and wrap around the
+	// end. It grows by doubling, up to max, only when a write needs room.
+	buf    []byte
+	head   int
+	n      int
+	max    int
+	closed bool
 }
 
 // DefaultPipeBuffer is the pipe buffer size used when none is given.
 const DefaultPipeBuffer = 1 << 20
+
+// minPipeRing is the ring's first allocation (or max, if smaller).
+const minPipeRing = 4 << 10
 
 // NewPipe returns a pipe with the given buffer size (<= 0 selects
 // DefaultPipeBuffer).
@@ -52,21 +59,40 @@ func (p *Pipe) Write(b []byte) (int, error) {
 	defer p.mu.Unlock()
 	written := 0
 	for written < len(b) {
-		for len(p.buf) >= p.max && !p.closed {
+		for p.n >= p.max && !p.closed {
 			p.notFull.Wait()
 		}
 		if p.closed {
 			return written, ErrPipeClosed
 		}
-		n := p.max - len(p.buf)
-		if rem := len(b) - written; n > rem {
-			n = rem
-		}
-		p.buf = append(p.buf, b[written:written+n]...)
+		n := min(p.max-p.n, len(b)-written)
+		p.grow(p.n + n)
+		// The free space starts at the tail and may wrap; grow made it at
+		// least n bytes, so the two copies never reach unread data.
+		tail := (p.head + p.n) % len(p.buf)
+		c := copy(p.buf[tail:], b[written:written+n])
+		copy(p.buf, b[written+c:written+n])
+		p.n += n
 		written += n
 		p.notEmpty.Broadcast()
 	}
 	return written, nil
+}
+
+// grow makes the ring hold at least need bytes (need <= max), doubling it
+// and moving the unread bytes to its start.
+func (p *Pipe) grow(need int) {
+	if need <= len(p.buf) {
+		return
+	}
+	size := max(len(p.buf), min(minPipeRing, p.max))
+	for size < need {
+		size *= 2
+	}
+	buf := make([]byte, min(size, p.max))
+	c := copy(buf, p.buf[p.head:min(p.head+p.n, len(p.buf))])
+	copy(buf[c:p.n], p.buf)
+	p.buf, p.head = buf, 0
 }
 
 // Read implements io.Reader; it blocks while the buffer is empty and the
@@ -74,14 +100,20 @@ func (p *Pipe) Write(b []byte) (int, error) {
 func (p *Pipe) Read(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for len(p.buf) == 0 {
+	for p.n == 0 {
 		if p.closed {
 			return 0, io.EOF
 		}
 		p.notEmpty.Wait()
 	}
-	n := copy(b, p.buf)
-	p.buf = p.buf[n:]
+	n := min(len(b), p.n)
+	c := copy(b[:n], p.buf[p.head:])
+	copy(b[c:n], p.buf)
+	p.head = (p.head + n) % len(p.buf)
+	p.n -= n
+	if p.n == 0 {
+		p.head = 0
+	}
 	p.notFull.Broadcast()
 	return n, nil
 }
