@@ -516,9 +516,9 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // throughput and the sink count. fuse toggles the physical planner; the map
 // declares its input partition key so the fused map+filter prefix hoists
 // into the shard lanes at parallelism > 1. vectorize toggles the columnar
-// pass: map, filter and the aggregate's group-by key all declare typed
-// kernels, so with fusion the map+filter prefix runs as a ColChain and the
-// shard partitioner extracts routing keys batch-at-a-time.
+// pass: map, filter and the aggregate (group-by key and fold) all declare
+// typed kernels, so the map+filter prefix and the window state run over
+// columns — in one columnar span per shard lane when the prefix hoists.
 func runBatchedPipeline(b *testing.B, parallelism, batch int, fuse, vectorize bool, telem *telemetry.Registry) (float64, int) {
 	const (
 		keys  = 64
@@ -546,7 +546,7 @@ func runBatchedPipeline(b *testing.B, parallelism, batch int, fuse, vectorize bo
 	})
 	mp := qb.AddMap("map", func(t core.Tuple, emit func(core.Tuple)) { emit(t) }).
 		ShardKeyed(func(t core.Tuple) string { return t.(*keyedTuple).Key }).
-		Columnar(query.ColSpec{Schema: keyedSchema, Map: keyedIdentityKernel, Key: keyedKeyKernel})
+		Columnar(query.ColSpec{Schema: keyedSchema, Map: keyedIdentityKernel})
 	fl := qb.AddFilter("filter", func(t core.Tuple) bool { return t.(*keyedTuple).Val >= 0 }).
 		Columnar(query.ColSpec{Schema: keyedSchema, Filter: keyedNonNegKernel})
 	agg := qb.AddAggregate("agg", ops.AggregateSpec{
@@ -559,7 +559,7 @@ func runBatchedPipeline(b *testing.B, parallelism, batch int, fuse, vectorize bo
 			}
 			return &keyedTuple{Base: core.NewBase(start), Key: key, Val: sum}
 		},
-	}).Columnar(query.ColSpec{Schema: keyedSchema, Key: keyedKeyKernel}).Parallel(parallelism)
+	}).ColumnarAgg(query.AggColSpec{Schema: keyedSchema, Key: keyedKeyKernel, Fold: keyedSumFold}).Parallel(parallelism)
 	var sinks int
 	sink := qb.AddSink("sink", func(core.Tuple) error { sinks++; return nil })
 	qb.Connect(src, mp)
@@ -632,6 +632,15 @@ func keyedKeyKernel(c *ops.ColBatch, sel []int, dst []string) []string {
 		dst = append(dst, keys[pos])
 	}
 	return dst
+}
+
+// keyedSumFold vectorizes the pipeline's per-window sum.
+func keyedSumFold(seg *ops.ColSeg, start, end int64, key string) core.Tuple {
+	var sum int64
+	for _, v := range seg.Int64s(keyedFieldVal) {
+		sum += v
+	}
+	return &keyedTuple{Base: core.NewBase(start), Key: key, Val: sum}
 }
 
 // BenchmarkKernels compares the row path against the columnar path on the
@@ -922,14 +931,13 @@ func runStatefulJoin(b *testing.B, parallelism, batch int, vectorize bool) (floa
 	return float64(2*keys*steps) / elapsed.Seconds(), sinks
 }
 
-// BenchmarkStatefulKernels compares the row path against the columnar path
-// on the stateful operators: the same keyed sliding-window aggregation (sum
-// fold) and keyed windowed join (parity residual) running with row window
-// state versus ColWindow state and fold/probe kernels, serial and at
-// Parallelism(4), batch 64 and 1024. The acceptance target is the columnar
-// keyed-aggregate pipeline at >= 1.3x the row path's tuples/s at batch
-// 1024; the sink count is asserted identical across every cell of each
-// pipeline (the count half of the byte-identity the equivalence tests check
+// BenchmarkStatefulKernels compares row closures against kernels on the
+// stateful operators: the same keyed sliding-window aggregation (sum fold)
+// and keyed windowed join (parity residual) running on ColAggregate/ColJoin
+// with the spec derived from the row closures ("row", vectorization off)
+// versus the declared typed-column fold/probe kernels ("vec"), serial and at
+// Parallelism(4), batch 64 and 1024. The sink count is asserted identical
+// across every cell of each pipeline (the count half of the byte-identity the equivalence tests check
 // in full). Run with
 //
 //	go test -bench BenchmarkStatefulKernels -benchtime 1x

@@ -32,9 +32,10 @@
 // chains fuse into single goroutines and stateless prefixes of shard-parallel
 // operators replicate into the shard lanes; output and provenance are
 // byte-identical either way. The -vectorize flag (default on) controls the
-// planner's columnar pass: stateless segments whose stages declare typed
-// kernels run over struct-of-arrays batches instead of row-at-a-time
-// closures, again with byte-identical output and provenance. The -adaptive
+// planner's columnar pass: stages and stateful nodes that declare typed
+// kernels run them over struct-of-arrays columns; off, every operator runs
+// its row closures (stateful nodes on the same window operators, through
+// the derived spec), again with byte-identical output and provenance. The -adaptive
 // flag (with -adaptive-min/-adaptive-max bounds) closes the telemetry
 // feedback loop: an AIMD controller samples every stream's queue occupancy
 // and batch fill and resizes its batch size live, growing under load and
@@ -81,7 +82,7 @@ func run(args []string, out *os.File) error {
 	parallelism := fs.Int("parallelism", 1, "shard parallelism for keyed stateful operators: 1 = serial, n > 1 = n shards, 0 = auto (choose from the CPU count)")
 	batch := fs.Int("batch", 1, "stream batch size: tuples per channel/wire operation (0/1 = unbatched)")
 	fuse := fs.Bool("fuse", true, "physical planner: fuse stateless operator chains and replicate stateless prefixes into shard lanes (false = one goroutine per logical operator)")
-	vectorize := fs.Bool("vectorize", true, "columnar pass: run kernel-capable stateless segments as typed kernels over struct-of-arrays batches (false = row-at-a-time closures)")
+	vectorize := fs.Bool("vectorize", true, "columnar pass: run declared typed kernels — stateless stages, aggregate folds, join probes — over struct-of-arrays columns (false = every operator runs its row closures; stateful nodes keep the same window runtime)")
 	adaptive := fs.Bool("adaptive", false, "adaptive batch sizing: an AIMD controller resizes every stream's batch size live from queue occupancy and batch fill (output stays byte-identical to any fixed size)")
 	adaptiveMin := fs.Int("adaptive-min", 1, "adaptive batch sizing: smallest batch size the controller may shrink to")
 	adaptiveMax := fs.Int("adaptive-max", harness.DefaultAdaptiveMaxBatch, "adaptive batch sizing: largest batch size the controller may grow to")

@@ -14,7 +14,7 @@ import (
 )
 
 // TestMetaFootprint guards the fixed per-tuple cost (challenge C1): Meta is
-// exactly its seven fields, and the workloads' source tuples and the
+// exactly its eight fields, and the workloads' source tuples and the
 // unfolders' records stay inside their allocation size classes.
 func TestMetaFootprint(t *testing.T) {
 	if strconv.IntSize != 64 {
@@ -76,5 +76,26 @@ func TestAnnotationHiddenInNSlot(t *testing.T) {
 	(&core.Genealog{}).OnReceive(src)
 	if src.Annotation() != nil || src.Kind() != core.KindSource {
 		t.Fatalf("GL OnReceive left annotation %v (kind %v)", src.Annotation(), src.Kind())
+	}
+}
+
+// TestAnnotationReadDoesNotTouchN: an encoder reads a GL tuple's annotation
+// while the Aggregate buffering it may link its N — the unfolders ship
+// source tuples that still sit in open sliding windows. The read must not
+// touch the N slot; under -race this test fails if it does.
+func TestAnnotationReadDoesNotTouchN(t *testing.T) {
+	tu := linearroad.NewPositionReport(1, 7, 30, 100)
+	next := linearroad.NewPositionReport(2, 7, 30, 100)
+	done := make(chan struct{})
+	go func() {
+		(&core.Genealog{}).OnAggregateLink(tu, next)
+		close(done)
+	}()
+	if tu.Annotation() != nil {
+		t.Error("annotation on a GL tuple")
+	}
+	<-done
+	if tu.Next() != next {
+		t.Fatal("OnAggregateLink did not link N")
 	}
 }

@@ -55,7 +55,7 @@ func (m *Meta) GobDecode(data []byte) error {
 	if want := int(n)*8 + 4*8; len(rest) < want {
 		return fmt.Errorf("core: meta wire data truncated: have %d bytes, want %d", len(rest), want)
 	}
-	m.u1, m.u2, m.next = nil, nil, nil
+	m.u1, m.u2, m.next, m.ann = nil, nil, nil, false
 	if n > 0 {
 		ann := make([]uint64, n)
 		for i := range ann {

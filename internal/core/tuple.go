@@ -94,11 +94,12 @@ type Cloneable interface {
 // The embedded Meta provides Timestamp, ProvMeta and the stimulus plumbing,
 // so the struct satisfies core.Traceable.
 //
-// Layout: ts, stim, id, kind, u1, u2, next — 80 bytes on a 64-bit platform,
-// the same under NP, GL and BL. The next slot holds GL's N, or, under BL,
-// the tuple's annotation list boxed in an unexported type: BL never links N
-// (its OnAggregateLink is a no-op) and GL never annotates, so the two never
-// meet on one tuple. Next hides the box, and Annotation reads only the box.
+// Layout: ts, stim, id, kind, ann, u1, u2, next — 80 bytes on a 64-bit
+// platform (ann fills kind's padding), the same under NP, GL and BL. The
+// next slot holds GL's N, or, under BL, the tuple's annotation list boxed
+// in an unexported type: BL never links N (its OnAggregateLink is a no-op)
+// and GL never annotates, so the two never meet on one tuple. Next hides
+// the box, and Annotation reads only the box, and only when ann marks it.
 //
 // Concurrency: u1 and u2 are written exactly once, by the operator that
 // creates the tuple, before the tuple is sent downstream. Under GL, next is
@@ -116,6 +117,10 @@ type Meta struct {
 	stim int64
 	id   uint64
 	kind Kind
+	// ann marks a next slot holding a BL annotation box. Only the creator
+	// of a BL tuple writes it, so encoders can test it while an Aggregate
+	// writes a GL tuple's N.
+	ann  bool
 	u1   Tuple
 	u2   Tuple
 	next Tuple // GL's N, or BL's annotation list as an annotation box
@@ -206,6 +211,9 @@ func (m *Meta) SetID(id uint64) { m.id = id }
 // source-tuple IDs. It is nil under NP and GL; its unbounded growth is the
 // pathology GeneaLog eliminates (challenge C1).
 func (m *Meta) Annotation() []uint64 {
+	if !m.ann {
+		return nil
+	}
 	a, _ := m.next.(annotation)
 	return a
 }
@@ -215,9 +223,9 @@ func (m *Meta) Annotation() []uint64 {
 // a list but leaves an N reference alone.
 func (m *Meta) SetAnnotation(ids []uint64) {
 	if ids != nil {
-		m.next = annotation(ids)
-	} else if _, ok := m.next.(annotation); ok {
-		m.next = nil
+		m.next, m.ann = annotation(ids), true
+	} else if m.ann {
+		m.next, m.ann = nil, false
 	}
 }
 
@@ -226,7 +234,7 @@ func (m *Meta) SetAnnotation(ids []uint64) {
 // implementations call it on copies.
 func (m *Meta) ResetProvenance() {
 	m.id = 0
-	m.kind = KindNone
+	m.kind, m.ann = KindNone, false
 	m.u1, m.u2, m.next = nil, nil, nil
 }
 

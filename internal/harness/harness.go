@@ -118,7 +118,7 @@ type Options struct {
 	// many instances; 0 or 1 selects serial execution. Sink tuples and
 	// provenance are byte-identical at every level — keyed joins order
 	// same-timestamp matches by (timestamp, left key, right key) at every
-	// parallelism, see ops.ShardJoin — only the core utilisation changes
+	// parallelism, see ops.ShardJoinCfg — only the core utilisation changes
 	// (query.Builder.ParallelizeStateful).
 	Parallelism int
 	// BatchSize sets the stream batch size: tuples cross every operator
@@ -150,12 +150,13 @@ type Options struct {
 	// on (the engine default).
 	NoFusion bool
 	// NoVectorize disables the planner's columnar pass (query.WithVectorize):
-	// stateless segments whose stages declare typed kernels run as row-at-a-
-	// time closures instead of struct-of-arrays batches, and shard partitions
-	// extract routing keys per tuple instead of per batch. Sink tuples and
-	// provenance are byte-identical either way; only the per-tuple
-	// interpretation overhead changes. The zero value keeps vectorization on
-	// (the engine default).
+	// every operator runs its row closures and ignores declared kernels.
+	// Stateless segments run tuple-at-a-time instead of over struct-of-arrays
+	// batches, stateful nodes run the same window operators on the spec
+	// derived from their row closures, and shard partitions extract routing
+	// keys per tuple instead of per batch. Sink tuples and provenance are
+	// byte-identical either way; only the per-tuple interpretation overhead
+	// changes. The zero value keeps vectorization on (the engine default).
 	NoVectorize bool
 	// StoreHorizon overrides the provenance store's retention horizon in
 	// event-time units (0 = derive it from the query graph's stateful window

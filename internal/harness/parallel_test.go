@@ -168,7 +168,7 @@ func sortedCopy(ss []string) []string {
 // sink output and contribution-graph traversal results identical to
 // Parallelism(1). Every query — joins included — must match the serial sink
 // sequence byte for byte: keyed joins order same-timestamp matches by
-// (timestamp, left key, right key) at every parallelism (ops.ShardJoin).
+// (timestamp, left key, right key) at every parallelism (ops.ShardJoinCfg).
 func TestShardParallelEquivalence(t *testing.T) {
 	for _, id := range Queries {
 		for _, mode := range Modes {

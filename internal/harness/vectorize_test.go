@@ -12,7 +12,7 @@ import (
 // internal/clickstream) must
 // actually come out of the planner vectorized — a declaration the planner
 // silently ignores (missing schema, kernel dropped by a refactor) fails
-// here instead of degrading to the row path unnoticed.
+// here instead of degrading to row closures unnoticed.
 func TestDeclaredKernelsVectorize(t *testing.T) {
 	// The declared kernel-capable segments per query at parallelism 1: the
 	// stateless stages (Q1 zero-speed + stopped, Q2 adds accident, Q3

@@ -50,7 +50,7 @@ const (
 // field each kernel reads. Field names are unique across the ops and query
 // levels of the same spec, so one entry covers both.
 var bindings = map[string]map[string]string{
-	"ColSpec":    {"Filter": "Schema", "Map": "Schema", "Key": "Schema"},
+	"ColSpec":    {"Filter": "Schema", "Map": "Schema"},
 	"ColStage":   {"Filter": "Schema", "Map": "Schema"},
 	"ColKey":     {"Kernel": "Schema"},
 	"AggColSpec": {"Key": "Schema", "Fold": "Schema"},

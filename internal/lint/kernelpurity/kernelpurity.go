@@ -41,7 +41,7 @@ const (
 
 // kernelFields maps a declaring struct to the fields that hold kernels.
 var kernelFields = map[string]map[string]bool{
-	"ColSpec":  {"Filter": true, "Map": true, "Key": true},
+	"ColSpec":  {"Filter": true, "Map": true},
 	"ColStage": {"Filter": true, "Map": true},
 	"ColKey":   {"Kernel": true},
 	"ColField": {"Int": true, "Float": true, "Str": true},

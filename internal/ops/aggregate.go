@@ -1,10 +1,7 @@
 package ops
 
 import (
-	"context"
 	"errors"
-	"fmt"
-	"sort"
 
 	"genealog/internal/core"
 )
@@ -67,261 +64,32 @@ func (s AggregateSpec) validate() error {
 	return nil
 }
 
-// Aggregate maintains sliding time-based windows of size WS and advance WA,
-// optionally per group-by value, and folds each closed window into one
-// output tuple (paper §2). Windows are aligned at multiples of WA and close
-// when the operator's watermark (the latest input timestamp, inputs being
-// timestamp-sorted) passes the window end; remaining windows are flushed at
-// end-of-stream. Due windows are emitted in (window start, group key) order,
-// keeping the output deterministic and timestamp-sorted.
-//
-// Provenance (paper §4.1): when a tuple is appended to a group buffer the
-// instrumenter links the previous group tuple's N meta-attribute to it, and
-// each window output is linked to the window's first (U2) and last (U1)
-// tuples.
-type Aggregate struct {
-	name   string
-	in     *Stream
-	out    *Stream
-	spec   AggregateSpec
-	instr  core.Instrumenter
-	prefix []FusedStage
-
-	groups    map[string]*aggGroup
-	nextStart int64
-	started   bool
-
-	lastAdv  int64 // last advertised output watermark (heartbeat)
-	haveAdv  bool
-	lastEmit int64 // timestamp of the last emitted window output
-	haveEmit bool
-}
-
-type aggGroup struct {
-	buf []core.Tuple // timestamp-ordered, purged below the oldest open window
-}
-
-var _ Operator = (*Aggregate)(nil)
-
-// NewAggregate returns an Aggregate operator; it panics if the spec is
-// invalid (a programming error caught at query-construction time).
-func NewAggregate(name string, in, out *Stream, spec AggregateSpec, instr core.Instrumenter) *Aggregate {
-	return NewAggregateFused(name, in, out, spec, nil, instr)
-}
-
-// NewAggregateFused returns an Aggregate that first pushes its input tuples
-// through the given inlined stateless stages (may be empty) — the planner's
-// hoisted shard-lane prefix, run by direct calls in the aggregate's own input
-// loop instead of a per-lane FusedChain with its stream and goroutine. It
-// panics if the spec or a stage is invalid.
-func NewAggregateFused(name string, in, out *Stream, spec AggregateSpec, prefix []FusedStage, instr core.Instrumenter) *Aggregate {
-	if err := spec.validate(); err != nil {
-		panic(fmt.Sprintf("aggregate %q: %v", name, err))
+// DeriveAggColSpec returns the columnar spec that runs spec's row closures
+// on ColAggregate: an empty schema (the window state keeps rows, timestamps
+// and metas only), a Key kernel that calls the row Key per selected tuple,
+// and a Fold kernel that calls the row Fold on the segment's live row slice,
+// which needs no copy. It is the spec of every Aggregate that declares no
+// kernels, and of every Aggregate when vectorization is off.
+func DeriveAggColSpec(spec AggregateSpec) AggColSpec {
+	fold := spec.Fold
+	col := AggColSpec{
+		Schema: emptyColSchema,
+		Fold: func(seg *ColSeg, start, end int64, key string) core.Tuple {
+			return fold(seg.Rows(), start, end, key)
+		},
 	}
-	for _, s := range prefix {
-		if err := s.validate(); err != nil {
-			panic(fmt.Sprintf("aggregate %q: %v", name, err))
-		}
-	}
-	if spec.OutputTs == 0 {
-		spec.OutputTs = WindowStartTs
-	}
-	return &Aggregate{
-		name:   name,
-		in:     in,
-		out:    out,
-		spec:   spec,
-		instr:  instr,
-		prefix: prefix,
-		groups: make(map[string]*aggGroup),
-	}
-}
-
-// Name implements Operator.
-func (a *Aggregate) Name() string { return a.name }
-
-// Run implements Operator. The inner loop iterates input batches and
-// flushes the output once per batch, before blocking for more input. With an
-// inlined prefix, each input tuple runs the prefix stages first; survivors
-// are processed exactly as direct inputs would be, and the watermarks of
-// dropped tuples still close due windows — the same sequence a FusedChain
-// feeding the aggregate through a stream produces.
-func (a *Aggregate) Run(ctx context.Context) error {
-	defer a.out.CloseSend(ctx)
-	var ap *stageApplier
-	if len(a.prefix) > 0 {
-		ap = newStageApplier(a.prefix, a.instr,
-			func(t core.Tuple) error {
-				if err := a.process(ctx, t); err != nil {
-					return err
-				}
-				return a.advertise(ctx, t.Timestamp())
-			},
-			func(ts int64) error {
-				if err := a.watermark(ctx, ts); err != nil {
-					return err
-				}
-				return a.advertise(ctx, ts)
-			})
-	}
-	for {
-		batch, ok, err := a.in.RecvBatch(ctx)
-		if err != nil {
-			return fmt.Errorf("aggregate %q: %w", a.name, err)
-		}
-		if !ok {
-			if err := a.flush(ctx); err != nil {
-				return fmt.Errorf("aggregate %q: %w", a.name, err)
+	if key := spec.Key; key != nil {
+		col.Key = func(c *ColBatch, sel []int, dst []string) []string {
+			for _, pos := range sel {
+				dst = append(dst, key(c.Rows[pos]))
 			}
-			return nil
-		}
-		for _, t := range batch {
-			if ap != nil {
-				if core.IsHeartbeat(t) {
-					err = ap.skip(t.Timestamp())
-				} else {
-					err = ap.run(t)
-				}
-			} else if err = a.process(ctx, t); err == nil {
-				err = a.advertise(ctx, t.Timestamp())
-			}
-			if err != nil {
-				return fmt.Errorf("aggregate %q: %w", a.name, err)
-			}
-		}
-		if err := a.out.Flush(ctx); err != nil {
-			return fmt.Errorf("aggregate %q: %w", a.name, err)
+			return dst
 		}
 	}
+	return col
 }
 
-// watermark advances the input watermark without a tuple (an inlined prefix
-// stage dropped it), closing due windows.
-func (a *Aggregate) watermark(ctx context.Context, ts int64) error {
-	if !a.started {
-		return nil
-	}
-	return a.closeDue(ctx, ts)
-}
-
-func (a *Aggregate) process(ctx context.Context, t core.Tuple) error {
-	ts := t.Timestamp()
-	if core.IsHeartbeat(t) {
-		// A heartbeat advances the watermark — closing due windows — but
-		// joins no window.
-		if !a.started {
-			return nil
-		}
-		return a.closeDue(ctx, ts)
-	}
-	if !a.started {
-		a.started = true
-		a.nextStart = firstWindowStart(ts, a.spec.WS, a.spec.WA)
-	}
-	if err := a.closeDue(ctx, ts); err != nil {
-		return err
-	}
-	key := a.keyOf(t)
-	g := a.groups[key]
-	if g == nil {
-		g = &aggGroup{}
-		a.groups[key] = g
-	}
-	if n := len(g.buf); n > 0 {
-		a.instr.OnAggregateLink(g.buf[n-1], t)
-	}
-	g.buf = append(g.buf, t)
-	return nil
-}
-
-// closeDue emits every window that ends at or before the watermark.
-func (a *Aggregate) closeDue(ctx context.Context, watermark int64) error {
-	for a.nextStart+a.spec.WS <= watermark {
-		if err := a.emitDue(ctx); err != nil {
-			return err
-		}
-		a.advance()
-	}
-	return nil
-}
-
-// advertise emits a Heartbeat carrying the operator's output watermark: no
-// future window output can precede nextStart (or, before the first tuple,
-// the earliest window that could hold a tuple at or after the input
-// watermark). Downstream deterministic merges need this to keep moving while
-// the aggregate is between outputs.
-func (a *Aggregate) advertise(ctx context.Context, inputWatermark int64) error {
-	var adv int64
-	if a.started {
-		adv = a.nextStart
-	} else {
-		adv = firstWindowStart(inputWatermark, a.spec.WS, a.spec.WA)
-	}
-	if a.spec.OutputTs == WindowEndTs {
-		adv += a.spec.WS
-	}
-	if a.haveAdv && adv <= a.lastAdv {
-		return nil
-	}
-	if a.haveEmit && adv <= a.lastEmit {
-		return nil
-	}
-	a.lastAdv, a.haveAdv = adv, true
-	return a.out.Send(ctx, core.NewHeartbeat(adv))
-}
-
-func (a *Aggregate) keyOf(t core.Tuple) string {
-	if a.spec.Key == nil {
-		return ""
-	}
-	return a.spec.Key(t)
-}
-
-// emitDue folds the window [nextStart, nextStart+WS) of every group holding
-// tuples in that range and sends the results in group-key order.
-func (a *Aggregate) emitDue(ctx context.Context) error {
-	start, end := a.nextStart, a.nextStart+a.spec.WS
-	type emission struct {
-		key string
-		win []core.Tuple
-	}
-	var due []emission
-	for key, g := range a.groups {
-		win := windowSlice(g.buf, start, end)
-		if len(win) == 0 {
-			continue
-		}
-		due = append(due, emission{key: key, win: win})
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i].key < due[j].key })
-	for _, e := range due {
-		out := a.spec.Fold(e.win, start, end, e.key)
-		if out == nil {
-			continue
-		}
-		if m := core.MetaOf(out); m != nil {
-			if a.spec.OutputTs == WindowEndTs {
-				m.SetTimestamp(end)
-			} else {
-				m.SetTimestamp(start)
-			}
-			for _, w := range e.win {
-				if wm := core.MetaOf(w); wm != nil {
-					m.MergeStimulus(wm.Stimulus())
-				}
-			}
-		}
-		instrumentAggEmit(a.instr, a.spec.Contributors, out, e.win)
-		a.lastEmit, a.haveEmit = out.Timestamp(), true
-		if err := a.out.Send(ctx, out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// instrumentAggEmit links a window output to its contributing tuples — the
-// shared emission instrumentation of the row and columnar aggregates. With
+// instrumentAggEmit links a window output to its contributing tuples. With
 // the default semantics every window tuple contributes and the group
 // buffer's N chain is reused. With a Contributors selector, a fresh chain of
 // linkTuple wrappers (one MAP-typed wrapper per selected tuple) is built
@@ -354,68 +122,4 @@ func instrumentAggEmit(instr core.Instrumenter, contributors func([]core.Tuple) 
 // provenance; it never flows through streams.
 type linkTuple struct {
 	core.Base
-}
-
-// advance moves to the next window and purges tuples that no future window
-// can contain (event time below the new window start).
-func (a *Aggregate) advance() {
-	a.nextStart += a.spec.WA
-	for key, g := range a.groups {
-		i := 0
-		for i < len(g.buf) && g.buf[i].Timestamp() < a.nextStart {
-			g.buf[i] = nil
-			i++
-		}
-		if i == 0 {
-			continue
-		}
-		g.buf = append(g.buf[:0], g.buf[i:]...)
-		if len(g.buf) == 0 {
-			delete(a.groups, key)
-		}
-	}
-	// Fast-forward over empty windows so sparse streams stay cheap.
-	if min, ok := a.minBufferedTs(); ok {
-		if skip := firstWindowStart(min, a.spec.WS, a.spec.WA); skip > a.nextStart {
-			a.nextStart = skip
-		}
-	}
-}
-
-func (a *Aggregate) minBufferedTs() (int64, bool) {
-	var min int64
-	found := false
-	for _, g := range a.groups {
-		if len(g.buf) == 0 {
-			continue
-		}
-		if ts := g.buf[0].Timestamp(); !found || ts < min {
-			min = ts
-			found = true
-		}
-	}
-	return min, found
-}
-
-// flush closes every remaining window at end-of-stream.
-func (a *Aggregate) flush(ctx context.Context) error {
-	for len(a.groups) > 0 {
-		if err := a.emitDue(ctx); err != nil {
-			return err
-		}
-		a.advance()
-	}
-	return nil
-}
-
-// windowSlice returns the buffered tuples with event time in [start, end).
-// Buffers are timestamp-ordered, so the result is the contiguous run between
-// the first tuple >= start and the first tuple >= end.
-func windowSlice(buf []core.Tuple, start, end int64) []core.Tuple {
-	lo := sort.Search(len(buf), func(i int) bool { return buf[i].Timestamp() >= start })
-	hi := sort.Search(len(buf), func(i int) bool { return buf[i].Timestamp() >= end })
-	if lo >= hi {
-		return nil
-	}
-	return buf[lo:hi]
 }

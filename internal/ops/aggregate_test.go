@@ -3,6 +3,7 @@ package ops
 import (
 	"context"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +14,7 @@ func runAggregate(t *testing.T, spec AggregateSpec, instr core.Instrumenter, inp
 	t.Helper()
 	in := feed(input...)
 	out := NewStream("out", 1024)
-	a := NewAggregate("a", in, out, spec, instr)
+	a := newAggregate("a", in, out, spec, instr)
 	runOps(t, a)
 	return drain(t, out)
 }
@@ -225,10 +226,10 @@ func TestAggregateSpecValidation(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("spec %d: NewAggregate must panic on invalid spec", i)
+					t.Errorf("spec %d: the aggregate must panic on invalid spec", i)
 				}
 			}()
-			NewAggregate("a", NewStream("i", 1), NewStream("o", 1), spec, core.Noop{})
+			newAggregate("a", NewStream("i", 1), NewStream("o", 1), spec, core.Noop{})
 		}()
 	}
 }
@@ -248,7 +249,7 @@ func TestAggregateCoverageProperty(t *testing.T) {
 		}
 		in := feed(input...)
 		out := NewStream("out", 4096)
-		agg := NewAggregate("a", in, out, AggregateSpec{WS: 12, WA: 4, Fold: countFold}, &core.Genealog{})
+		agg := newAggregate("a", in, out, AggregateSpec{WS: 12, WA: 4, Fold: countFold}, &core.Genealog{})
 		if err := agg.Run(context.Background()); err != nil {
 			return false
 		}
@@ -272,6 +273,130 @@ func TestAggregateCoverageProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// oracleWindow is one expected aggregate output: a group's window and the
+// tuples it holds, in arrival order.
+type oracleWindow struct {
+	start int64
+	key   string
+	win   []core.Tuple
+}
+
+// aggregateOracle computes an aggregate's outputs directly from the input:
+// every window [s, s+ws) with s a multiple of wa, of every group holding
+// tuples in it, in (window start, group key) order.
+func aggregateOracle(input []core.Tuple, ws, wa int64, key func(core.Tuple) string) []oracleWindow {
+	groups := make(map[string][]core.Tuple)
+	for _, t := range input {
+		if core.IsHeartbeat(t) {
+			continue
+		}
+		k := ""
+		if key != nil {
+			k = key(t)
+		}
+		groups[k] = append(groups[k], t)
+	}
+	var want []oracleWindow
+	for k, g := range groups {
+		first, last := g[0].Timestamp(), g[len(g)-1].Timestamp()
+		for s := (floorDiv(first, wa) - ws/wa - 1) * wa; s <= last; s += wa {
+			var win []core.Tuple
+			for _, t := range g {
+				if t.Timestamp() >= s && t.Timestamp() < s+ws {
+					win = append(win, t)
+				}
+			}
+			if len(win) > 0 {
+				want = append(want, oracleWindow{start: s, key: k, win: win})
+			}
+		}
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].start != want[j].start {
+			return want[i].start < want[j].start
+		}
+		return want[i].key < want[j].key
+	})
+	return want
+}
+
+// TestAggregateBruteForceProperty compares the aggregate, on declared
+// kernels and on the spec derived from its row closures, against windows and
+// groups computed directly: the outputs, their order, timestamps, values,
+// stimuli and GL contribution sets — keyed and unkeyed, tumbling and
+// sliding, both output timestamp policies, with interleaved heartbeats, at
+// batch sizes 1, 7 and 64.
+func TestAggregateBruteForceProperty(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ws := int64(1 + rng.Intn(12))
+		wa := int64(1 + rng.Intn(int(ws)))
+		if seed%2 == 0 {
+			wa = ws // tumbling
+		}
+		for _, keyed := range []bool{false, true} {
+			for _, policy := range []OutputTsPolicy{WindowStartTs, WindowEndTs} {
+				for _, batch := range []int{1, 7, 64} {
+					for _, declared := range []bool{false, true} {
+						spec := AggregateSpec{WS: ws, WA: wa, Fold: sumFold, OutputTs: policy}
+						col := AggColSpec{Schema: vSchema(), Fold: vecSumFold}
+						if keyed {
+							spec.Key, col.Key = keyOf, vecKeyKernel
+						}
+						if !declared {
+							col = DeriveAggColSpec(spec)
+						}
+						input := aggInput(200, []string{"a", "b", "c"}, seed)
+						stim := rand.New(rand.NewSource(seed))
+						for _, in := range input {
+							core.MetaOf(in).MergeStimulus(stim.Int63n(1000))
+						}
+						out := NewStream("out", 0)
+						a := NewColAggregate("a", feedBatched(batch, input...), out, spec, col, nil, nil, &core.Genealog{})
+						done := make(chan []core.Tuple)
+						go func() { done <- drain(t, out) }()
+						runOps(t, a)
+						checkOracle(t, <-done, aggregateOracle(input, ws, wa, spec.Key), ws, policy)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkOracle asserts the aggregate's outputs match the oracle's windows one
+// for one, in order.
+func checkOracle(t *testing.T, got []core.Tuple, want []oracleWindow, ws int64, policy OutputTsPolicy) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d outputs, oracle %d", len(got), len(want))
+	}
+	for i, w := range want {
+		o := got[i].(*vTuple)
+		ts, sum, stim := w.start, int64(0), int64(0)
+		if policy == WindowEndTs {
+			ts += ws
+		}
+		for _, in := range w.win {
+			sum += in.(*vTuple).Val
+			stim = max(stim, core.MetaOf(in).Stimulus())
+		}
+		if o.Timestamp() != ts || o.Key != w.key || o.Val != sum || core.MetaOf(o).Stimulus() != stim {
+			t.Fatalf("output %d: ts %d key %q val %d stim %d, oracle %d %q %d %d",
+				i, o.Timestamp(), o.Key, o.Val, core.MetaOf(o).Stimulus(), ts, w.key, sum, stim)
+		}
+		prov := core.FindProvenance(o)
+		if len(prov) != len(w.win) {
+			t.Fatalf("output %d: %d contributors, oracle %d", i, len(prov), len(w.win))
+		}
+		for k := range prov {
+			if prov[k] != w.win[k] {
+				t.Fatalf("output %d: contributor %d differs from the oracle's", i, k)
+			}
+		}
 	}
 }
 

@@ -203,7 +203,7 @@ func TestShardAggregateBatchedMatchesSerial(t *testing.T) {
 	serial := func() []core.Tuple {
 		in := feed(tuples...)
 		out := NewStream("out", 4096)
-		a := NewAggregate("agg", in, out, spec, core.Noop{})
+		a := newAggregate("agg", in, out, spec, core.Noop{})
 		if err := a.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestShardAggregateBatchedMatchesSerial(t *testing.T) {
 	for _, batch := range []int{2, 64} {
 		in := feedBatched(batch, tuples...)
 		out := NewBatchedStream("out", 4096, batch)
-		operators, err := ShardAggregate("agg", in, out, spec, core.Noop{}, 4, 64, batch)
+		operators, err := ShardAggregateCfg("agg", in, out, spec, core.Noop{}, 4, 64, batch, ShardConfig{Agg: DeriveAggColSpec(spec)})
 		runShardSubgraph(t, operators, err)
 		got := drain(t, out)
 		if len(got) != len(serial) {

@@ -8,9 +8,9 @@ import (
 	"genealog/internal/core"
 )
 
-// JoinColSpec declares the columnar execution of a keyed Join: hash-probed
-// window state instead of a full-buffer predicate scan. The contract tying
-// it to the row spec is that the row Predicate must be exactly
+// JoinColSpec declares the columnar execution of a Join: hash-probed window
+// state instead of a full-buffer predicate scan. The contract tying it to
+// the row spec is that the row Predicate must be exactly
 //
 //	LeftKey(l) == RightKey(r)  &&  residual(l, r)
 //
@@ -18,7 +18,9 @@ import (
 // residual condition. The hash probe enforces the key equality; the residual
 // kernels, when declared, filter the same-key candidates over typed columns.
 // A pure equi-join (like Q4's meter match) declares no residual and the
-// probe's candidate list is the final match list.
+// probe's candidate list is the final match list. An unkeyed Join probes one
+// constant key, so its spec must carry the whole predicate as residuals
+// (DeriveJoinColSpec does).
 type JoinColSpec struct {
 	// Left and Right declare the columns buffered per side's window state;
 	// required only when the residual kernels read them (both may be nil for
@@ -31,29 +33,29 @@ type JoinColSpec struct {
 	ResidualL, ResidualR ProbeKernel
 }
 
-func (c JoinColSpec) validate(row JoinSpec) error {
-	if row.LeftKey == nil || row.RightKey == nil {
-		return errors.New("columnar join requires a keyed spec (LeftKey and RightKey)")
-	}
+// Validate returns an error unless the spec can execute the row spec row.
+func (c JoinColSpec) Validate(row JoinSpec) error {
 	if (c.ResidualL != nil) != (c.ResidualR != nil) {
 		return errors.New("columnar join: ResidualL and ResidualR must be set together")
 	}
-	if c.ResidualL != nil {
-		if c.Left == nil || c.Right == nil {
-			return errors.New("columnar join: residual kernels need the Left and Right schemas")
+	if c.ResidualL == nil {
+		if !row.keyed() {
+			return errors.New("columnar join: an unkeyed spec needs residual kernels (its constant key matches every pair)")
 		}
-		if err := c.Left.Validate(); err != nil {
-			return err
-		}
-		if err := c.Right.Validate(); err != nil {
-			return err
-		}
+		return nil
 	}
-	return nil
+	if c.Left == nil || c.Right == nil {
+		return errors.New("columnar join: residual kernels need the Left and Right schemas")
+	}
+	if err := c.Left.Validate(); err != nil {
+		return err
+	}
+	return c.Right.Validate()
 }
 
-// emptyColSchema backs the window state of a join side with no declared
-// columns: rows, timestamps and keys only.
+// emptyColSchema backs window state with no declared columns — rows,
+// timestamps and metas only: a join side without a schema, and every
+// derived spec.
 var emptyColSchema = &ColSchema{}
 
 // colJoinBuf is one side's window state: a ColWindow for the rows,
@@ -121,21 +123,20 @@ func (b *colJoinBuf) release() {
 	b.index = nil
 }
 
-// ColJoin is the vectorized twin of a keyed Join: the same deterministic
-// timestamp-sorted merge, match order, provenance hooks and (timestamp,
-// left key, right key) emission tie-break, but each side's window state is a
-// hash-indexed colJoinBuf, so a probe touches exactly the buffered tuples
-// sharing the incoming tuple's equi-join key instead of scanning the whole
-// window with the predicate closure.
+// ColJoin produces one output tuple for every pair of left/right tuples
+// within event-time distance WS that satisfies the predicate (paper §2). The
+// two inputs are consumed through the deterministic timestamp-sorted merge,
+// so the match order — and therefore the output — is deterministic. Each
+// output is linked to its two contributors through the instrumenter (U1 =
+// the more recent, U2 = the older, Type=JOIN; paper §4.1).
 //
-// Equivalence: the row path probes the opposite buffer in arrival order and
-// only same-key pairs can match (the JoinColSpec contract), so the per-key
-// candidate list — also in arrival order — yields the same matches in the
-// same relative order; and because a keyed join sorts same-timestamp
-// outputs by (left key, right key) with a stable sort before emitting, the
-// downstream byte sequence is identical. Purges keep every buffered
-// candidate within the WS window (the merge delivers in timestamp order),
-// so the hash probe never needs a per-pair window check.
+// Each side's window state is a hash-indexed colJoinBuf: a probe touches
+// only the buffered tuples sharing the incoming tuple's key, in arrival
+// order, and the residual kernels (if any) filter them. Purges keep every
+// candidate within WS, so no per-pair window check is needed. Outputs leave
+// sorted by (timestamp, left key, right key), stably, once the watermark
+// passes them — the sequence a sharded deployment's fan-in reconstructs; an
+// unkeyed join (one constant key) thus emits in match order.
 type ColJoin struct {
 	joinEmitter
 
@@ -152,29 +153,37 @@ type ColJoin struct {
 	bufR colJoinBuf
 
 	// Probe scratch: phys holds the candidates' physical positions, res the
-	// residual kernel's output buffer.
+	// residual kernel's output buffer, seg the candidate segment handed to
+	// the residual kernel (a local would escape through the indirect call,
+	// one allocation per probe).
 	phys []int
 	res  []int
+	seg  ColSeg
 }
 
 var _ Operator = (*ColJoin)(nil)
 
-// NewColJoin returns a vectorized keyed Join applying each side's inlined
-// prefix (either may be empty) before the merge; it panics if the row spec,
-// the columnar spec or a stage is invalid (a programming error caught at
-// query-construction time). Prefixes stay row stages: the merge consumes
-// tuple-at-a-time, so there is no run for a columnar prefix to batch over.
+// NewColJoin returns a Join applying each side's hoisted prefix (either may
+// be empty) inside the merge loop, as a per-lane FusedChain would. Prefixes
+// are row stages (the merge consumes tuple-at-a-time) and must preserve
+// timestamps, which the planner guarantees by hoisting only Map-free chains
+// above join partitions. A spec without both keys probes one constant key on
+// both sides. It panics if the row spec, the columnar spec or a stage is
+// invalid (a programming error caught at query-construction time).
 func NewColJoin(name string, left, right, out *Stream, spec JoinSpec, col JoinColSpec, prefixL, prefixR []FusedStage, instr core.Instrumenter) *ColJoin {
 	if err := spec.validate(); err != nil {
 		panic(fmt.Sprintf("join %q: %v", name, err))
 	}
-	if err := col.validate(spec); err != nil {
+	if err := col.Validate(spec); err != nil {
 		panic(fmt.Sprintf("join %q: %v", name, err))
 	}
 	for _, s := range append(append([]FusedStage(nil), prefixL...), prefixR...) {
 		if err := s.validate(); err != nil {
 			panic(fmt.Sprintf("join %q: %v", name, err))
 		}
+	}
+	if !spec.keyed() {
+		spec.LeftKey, spec.RightKey = constKey, constKey
 	}
 	return &ColJoin{
 		joinEmitter: joinEmitter{out: out},
@@ -184,10 +193,13 @@ func NewColJoin(name string, left, right, out *Stream, spec JoinSpec, col JoinCo
 	}
 }
 
+// constKey is the shared key of both sides of an unkeyed join.
+func constKey(core.Tuple) string { return "" }
+
 // Name implements Operator.
 func (j *ColJoin) Name() string { return j.name }
 
-// Run implements Operator; the loop structure mirrors the row Join exactly.
+// Run implements Operator.
 func (j *ColJoin) Run(ctx context.Context) error {
 	defer j.out.CloseSend(ctx)
 	var apL, apR *stageApplier
@@ -212,6 +224,7 @@ func (j *ColJoin) Run(ctx context.Context) error {
 			err := j.flushPending(ctx)
 			j.bufL.release()
 			j.bufR.release()
+			j.seg = ColSeg{}
 			if err != nil {
 				return fmt.Errorf("join %q: %w", j.name, err)
 			}
@@ -224,6 +237,9 @@ func (j *ColJoin) Run(ctx context.Context) error {
 		}
 		switch {
 		case core.IsHeartbeat(t):
+			// The watermark (t.ts) bounds every future tuple's timestamp
+			// from below, so tuples older than ts-WS on either side can
+			// never match again.
 			horizon := t.Timestamp() - j.spec.WS
 			j.bufL.purge(horizon)
 			j.bufR.purge(horizon)
@@ -266,16 +282,7 @@ func (j *ColJoin) step(ctx context.Context, t core.Tuple, fromLeft bool) error {
 		opp = &j.bufL
 		residual = j.col.ResidualR
 	}
-	phys := j.phys[:0]
-	for _, lp := range opp.index[key] {
-		phys = append(phys, lp-opp.base)
-	}
-	j.phys = phys
-	if residual != nil && len(phys) > 0 {
-		seg := opp.w.seg(0, opp.w.Len())
-		j.res = residual(t, &seg, phys, j.res[:0])
-		phys = j.res
-	}
+	phys := j.probe(t, key, opp, residual)
 	tm := core.MetaOf(t)
 	oppRows, oppMetas, oppTs := opp.w.liveRows(), opp.w.liveMetas(), opp.w.liveTs()
 	for _, i := range phys {
@@ -294,7 +301,7 @@ func (j *ColJoin) step(ctx context.Context, t core.Tuple, fromLeft bool) error {
 			// The buffered side's meta and timestamp come from the window
 			// columns extracted at append; t's meta is asserted once per
 			// probe, not once per match.
-			m.SetTimestamp(maxInt64(ts, oppTs[i]))
+			m.SetTimestamp(max(ts, oppTs[i]))
 			lm, rm := tm, oppMetas[i]
 			if !fromLeft {
 				lm, rm = rm, lm
@@ -318,4 +325,21 @@ func (j *ColJoin) step(ctx context.Context, t core.Tuple, fromLeft bool) error {
 	// A join between matches creates sparsity; keep downstream merges
 	// informed of the watermark.
 	return j.watermark(ctx, ts)
+}
+
+// probe returns the physical positions in opp of t's matches, in arrival
+// order: the candidates sharing t's key, filtered by the residual kernel
+// when there is one.
+func (j *ColJoin) probe(t core.Tuple, key string, opp *colJoinBuf, residual ProbeKernel) []int {
+	phys := j.phys[:0]
+	for _, lp := range opp.index[key] {
+		phys = append(phys, lp-opp.base)
+	}
+	j.phys = phys
+	if residual == nil || len(phys) == 0 {
+		return phys
+	}
+	j.seg = opp.w.seg(0, opp.w.Len())
+	j.res = residual(t, &j.seg, phys, j.res[:0])
+	return j.res
 }

@@ -15,8 +15,8 @@ import (
 // column and one typed column per schema field, all parallel and
 // timestamp-ordered. Appends extract eagerly (batch ingest extracts whole
 // runs through a ColBatch first, so the per-append cost is one copy per
-// column); purges shift every column together, mirroring the row path's
-// prefix purge.
+// column); purges drop a timestamp-ordered prefix from every column
+// together.
 //
 // A window that purges its last row is compacted to length zero with every
 // reference slot (rows, metas, strings) cleared, so an empty ColWindow pins
@@ -200,7 +200,7 @@ func NewColSeg(schema *ColSchema, rows []core.Tuple) ColSeg {
 func (s *ColSeg) Len() int { return s.hi - s.lo }
 
 // Rows returns the segment's row tuples (timestamp-ordered, oldest first) —
-// the same slice the row path's Fold receives as its window.
+// the window a derived spec's row Fold receives.
 func (s *ColSeg) Rows() []core.Tuple { return s.w.rows[s.lo:s.hi] }
 
 // Timestamps returns the segment's event-time column.
@@ -227,8 +227,8 @@ func (s *ColSeg) Strings(field int) []string {
 // window segment [start, end) into the output tuple, or returns nil to emit
 // nothing. It must compute exactly what the row Fold computes over
 // seg.Rows() — the operator stamps the output timestamp, merges stimuli and
-// links provenance identically on both paths, so a matching kernel makes
-// vectorized execution byte-identical to the row path.
+// links provenance the same way for every kernel, so a matching kernel
+// makes vectorized execution byte-identical to the derived spec's.
 type AggKernel func(seg *ColSeg, start, end int64, key string) core.Tuple
 
 // ProbeKernel is the vectorized residual of a keyed join predicate: the
@@ -241,9 +241,8 @@ type ProbeKernel func(t core.Tuple, cand *ColSeg, sel []int, dst []int) []int
 
 // AggColSpec declares the columnar execution of an Aggregate: the window
 // columns to buffer, the vectorized group-key extractor, and the fold
-// kernel. The planner runs an Aggregate declaring one as a ColAggregate
-// whenever vectorization is on; operators without a fold kernel keep the
-// row path.
+// kernel. The planner runs an Aggregate on its declared spec whenever
+// vectorization is on, and on DeriveAggColSpec's otherwise.
 type AggColSpec struct {
 	// Schema declares the columns kept in each group's window state.
 	Schema *ColSchema
@@ -254,7 +253,8 @@ type AggColSpec struct {
 	Fold AggKernel
 }
 
-func (c AggColSpec) validate(row AggregateSpec) error {
+// Validate returns an error unless the spec can execute the row spec row.
+func (c AggColSpec) Validate(row AggregateSpec) error {
 	if c.Schema == nil {
 		return errors.New("columnar aggregate needs a Schema")
 	}
@@ -270,22 +270,29 @@ func (c AggColSpec) validate(row AggregateSpec) error {
 	return nil
 }
 
-// ColAggregate is the vectorized twin of Aggregate: same windows, same
-// emission order, same provenance hooks, but the window state is a
-// ColWindow per group — typed columns extracted batch-wise at ingest — and
-// each window close folds a column segment through the AggKernel instead of
-// calling a row closure over a tuple slice. An optional columnar prefix (the
-// planner's hoisted shard-lane stages, as ColStages) runs in the same
-// selection-vector pass as the ingest, so a whole `vec[... → aggregate]`
-// span crosses rows→columns exactly once.
+// ColAggregate maintains sliding time-based windows of size WS and advance
+// WA, optionally per group-by value, and folds each closed window into one
+// output tuple (paper §2). Windows are aligned at multiples of WA and close
+// when the operator's watermark (the latest input timestamp, inputs being
+// timestamp-sorted) passes the window end; remaining windows are flushed at
+// end-of-stream. Due windows are emitted in (window start, group key) order,
+// keeping the output deterministic and timestamp-sorted.
 //
-// Equivalence: every input run walks in row order — dropped positions
-// advance the watermark at the timestamp the tuple carried when its filter
-// dropped it, surviving positions close due windows before appending — and
-// due windows emit in (window start, group key) order with the same
-// OnAggregateLink/OnAggregateEmit calls and contribution sets as the row
-// operator. Sink bytes and traversed provenance are byte-identical across
-// the row, fused and vectorized plans.
+// Provenance (paper §4.1): when a tuple is appended to a group's window the
+// instrumenter links the previous group tuple's N meta-attribute to it, and
+// each window output is linked to the window's first (U2) and last (U1)
+// tuples.
+//
+// The window state is a ColWindow per group — typed columns extracted
+// batch-wise at ingest — and each window close folds a column segment
+// through the AggKernel. A spec derived from the row closures
+// (DeriveAggColSpec) buffers no columns and folds the segment's row slice.
+//
+// A hoisted stateless prefix (the planner's shard-lane stages) runs inside
+// the operator, with the output a stateless chain feeding the aggregate
+// would produce. Columnar stages run in the same selection-vector pass as
+// the ingest, so a `vec[... → aggregate]` span crosses rows→columns once;
+// row stages run through a stageApplier.
 //
 // Window state is recycled: a group whose window empties (every group, at
 // each close of a tumbling window) moves its ColWindow to a free list, and
@@ -303,6 +310,9 @@ type ColAggregate struct {
 	col    AggColSpec
 	instr  core.Instrumenter
 	prefix []ColStage
+	// rowPrefix is a prefix without kernels; run collects its survivors.
+	rowPrefix []FusedStage
+	run       []core.Tuple
 
 	groups map[string]*ColWindow
 	// free holds the windows of retired groups, emptied and compacted by
@@ -339,18 +349,26 @@ type ColAggregate struct {
 
 var _ Operator = (*ColAggregate)(nil)
 
-// NewColAggregate returns a vectorized Aggregate applying prefix (may be
-// empty) before the windowing; it panics if the row spec, the columnar spec
-// or a prefix stage is invalid (a programming error caught at
-// query-construction time).
-func NewColAggregate(name string, in, out *Stream, spec AggregateSpec, col AggColSpec, prefix []ColStage, instr core.Instrumenter) *ColAggregate {
+// NewColAggregate returns an Aggregate applying a hoisted prefix before the
+// windowing: columnar stages (prefix) or row stages (rowPrefix), at most one
+// of the two. It panics if the row spec, the columnar spec or a prefix stage
+// is invalid (a programming error caught at query-construction time).
+func NewColAggregate(name string, in, out *Stream, spec AggregateSpec, col AggColSpec, prefix []ColStage, rowPrefix []FusedStage, instr core.Instrumenter) *ColAggregate {
 	if err := spec.validate(); err != nil {
 		panic(fmt.Sprintf("aggregate %q: %v", name, err))
 	}
-	if err := col.validate(spec); err != nil {
+	if err := col.Validate(spec); err != nil {
 		panic(fmt.Sprintf("aggregate %q: %v", name, err))
 	}
+	if len(prefix) > 0 && len(rowPrefix) > 0 {
+		panic(fmt.Sprintf("aggregate %q: a prefix is either columnar or row stages, not both", name))
+	}
 	for _, s := range prefix {
+		if err := s.validate(); err != nil {
+			panic(fmt.Sprintf("aggregate %q: %v", name, err))
+		}
+	}
+	for _, s := range rowPrefix {
 		if err := s.validate(); err != nil {
 			panic(fmt.Sprintf("aggregate %q: %v", name, err))
 		}
@@ -361,7 +379,7 @@ func NewColAggregate(name string, in, out *Stream, spec AggregateSpec, col AggCo
 	_, noop := instr.(core.Noop)
 	return &ColAggregate{
 		name: name, in: in, out: out, spec: spec, col: col, instr: instr,
-		prefix: prefix, groups: make(map[string]*ColWindow), noopInstr: noop,
+		prefix: prefix, rowPrefix: rowPrefix, groups: make(map[string]*ColWindow), noopInstr: noop,
 	}
 }
 
@@ -369,14 +387,27 @@ func NewColAggregate(name string, in, out *Stream, spec AggregateSpec, col AggCo
 func (a *ColAggregate) Name() string { return a.name }
 
 // Stages returns the number of prefix stages fused into the operator.
-func (a *ColAggregate) Stages() int { return len(a.prefix) }
+func (a *ColAggregate) Stages() int { return len(a.prefix) + len(a.rowPrefix) }
 
 // Run implements Operator. Each input batch is split into maximal
 // heartbeat-free runs; every run flows through the prefix kernels as a
 // column-bound view of the batch, and the survivors append into per-group
-// window state in one pass. The output is flushed once per input batch.
+// window state in one pass. With a row prefix, the batch runs through the
+// stages first and the survivors between two watermark drops form the runs.
+// The output is flushed once per input batch.
 func (a *ColAggregate) Run(ctx context.Context) error {
 	defer a.out.CloseSend(ctx)
+	var ap *stageApplier
+	if len(a.rowPrefix) > 0 {
+		ap = newStageApplier(a.rowPrefix, a.instr,
+			func(t core.Tuple) error { a.run = append(a.run, t); return nil },
+			func(ts int64) error {
+				if err := a.ingestRun(ctx); err != nil {
+					return err
+				}
+				return a.heartbeat(ctx, ts)
+			})
+	}
 	for {
 		batch, ok, err := a.in.RecvBatch(ctx)
 		if err != nil {
@@ -388,22 +419,28 @@ func (a *ColAggregate) Run(ctx context.Context) error {
 			}
 			return nil
 		}
-		for i := 0; i < len(batch); {
-			t := batch[i]
-			if core.IsHeartbeat(t) {
+		for i := 0; i < len(batch) && err == nil; {
+			t, j := batch[i], i+1
+			switch {
+			case ap != nil && core.IsHeartbeat(t):
+				err = ap.skip(t.Timestamp())
+			case ap != nil:
+				err = ap.run(t)
+			case core.IsHeartbeat(t):
 				err = a.heartbeat(ctx, t.Timestamp())
-				i++
-			} else {
-				j := i + 1
+			default:
 				for j < len(batch) && !core.IsHeartbeat(batch[j]) {
 					j++
 				}
 				err = a.processRun(ctx, batch[i:j])
-				i = j
 			}
-			if err != nil {
-				return fmt.Errorf("aggregate %q: %w", a.name, err)
-			}
+			i = j
+		}
+		if ap != nil && err == nil {
+			err = a.ingestRun(ctx)
+		}
+		if err != nil {
+			return fmt.Errorf("aggregate %q: %w", a.name, err)
 		}
 		if err := a.out.Flush(ctx); err != nil {
 			return fmt.Errorf("aggregate %q: %w", a.name, err)
@@ -411,8 +448,16 @@ func (a *ColAggregate) Run(ctx context.Context) error {
 	}
 }
 
-// heartbeat advances the watermark without a tuple, closing due windows,
-// exactly like the row operator's heartbeat handling.
+// ingestRun ingests the row prefix's collected survivors and clears the
+// buffer, so it pins no tuple.
+func (a *ColAggregate) ingestRun(ctx context.Context) error {
+	err := a.processRun(ctx, a.run)
+	clear(a.run)
+	a.run = a.run[:0]
+	return err
+}
+
+// heartbeat advances the watermark without a tuple, closing due windows.
 func (a *ColAggregate) heartbeat(ctx context.Context, ts int64) error {
 	if a.started {
 		if err := a.closeDue(ctx, ts); err != nil {
@@ -425,8 +470,8 @@ func (a *ColAggregate) heartbeat(ctx context.Context, ts int64) error {
 // processRun pushes one run of data tuples through the prefix kernels, then
 // ingests the result in row order: dead positions advance the watermark at
 // the timestamp the tuple carried when it was dropped, live positions close
-// due windows and append to their group's window — the exact sequence the
-// row path's inlined prefix produces.
+// due windows and append to their group's window — the exact sequence a
+// stateless chain feeding the aggregate produces.
 func (a *ColAggregate) processRun(ctx context.Context, rows []core.Tuple) error {
 	if len(rows) == 0 {
 		return nil
@@ -518,7 +563,7 @@ func (a *ColAggregate) processRun(ctx context.Context, rows []core.Tuple) error 
 			continue
 		}
 		// rows[pos] still holds the tuple as of the stage that dropped it,
-		// so its timestamp matches the row path's watermark advance.
+		// so the watermark advances at the timestamp it was dropped with.
 		ts := t.Timestamp()
 		if a.started {
 			if err := a.closeDue(ctx, ts); err != nil {
@@ -551,7 +596,7 @@ func (a *ColAggregate) bindRunCols() {
 }
 
 // ingest appends one surviving tuple to its group's window state, closing
-// due windows first — the columnar twin of Aggregate.process.
+// due windows first.
 func (a *ColAggregate) ingest(ctx context.Context, t core.Tuple, ts int64, key string, pos int) error {
 	if !a.started {
 		a.started = true
@@ -594,8 +639,7 @@ func (a *ColAggregate) closeDue(ctx context.Context, watermark int64) error {
 
 // emitDue folds the window [nextStart, nextStart+WS) of every group holding
 // rows in that range through the fold kernel and sends the results in
-// group-key order — the same emission order and instrumentation as the row
-// path's emitDue.
+// group-key order.
 func (a *ColAggregate) emitDue(ctx context.Context) error {
 	start, end := a.nextStart, a.nextStart+a.spec.WS
 	// keyOrder is maintained sorted as groups come and go, so a closing
@@ -639,8 +683,11 @@ func (a *ColAggregate) emitDue(ctx context.Context) error {
 	return nil
 }
 
-// advertise emits a Heartbeat carrying the operator's output watermark,
-// with the row operator's exact suppression rules.
+// advertise emits a Heartbeat carrying the operator's output watermark: no
+// future window output can precede nextStart (or, before the first tuple,
+// the earliest window that could hold a tuple at or after the input
+// watermark). Downstream deterministic merges need this to keep moving while
+// the aggregate is between outputs.
 func (a *ColAggregate) advertise(ctx context.Context, inputWatermark int64) error {
 	var adv int64
 	if a.started {

@@ -2,7 +2,7 @@
 
 // The race detector changes what allocates, so the allocation budgets are
 // checked only in plain builds; run them alone with
-// `go test -run Alloc ./internal/ops ./internal/core`.
+// `go test -run Alloc ./internal/ops ./internal/core ./internal/transport`.
 
 package ops
 
@@ -51,5 +51,37 @@ func TestColAggregateAllocWindowState(t *testing.T) {
 				t.Fatal("no output")
 			}
 		})
+	}
+}
+
+// TestColJoinAllocResidualProbe: a probe through residual kernels — the
+// derived spec's predicate adapter, which every join without declared
+// kernels runs — allocates nothing once the probe scratch has grown: the
+// candidate segment handed to the kernel lives in the operator.
+func TestColJoinAllocResidualProbe(t *testing.T) {
+	for _, keyed := range []bool{false, true} {
+		spec := JoinSpec{WS: 100,
+			Predicate: func(l, r core.Tuple) bool { return l.(*vTuple).Val == r.(*vTuple).Val },
+			Combine:   func(l, r core.Tuple) core.Tuple { return nil }}
+		if keyed {
+			spec.LeftKey, spec.RightKey = keyOf, keyOf
+		}
+		j := newJoin("j", NewStream("l", 0), NewStream("r", 0), NewStream("out", 0), spec, core.Noop{})
+		for i := int64(0); i < 64; i++ {
+			r := vt(i, "k", i%8)
+			j.bufR.append(r, i, j.spec.RightKey(r))
+		}
+		probe := vt(64, "k", 3)
+		key := j.spec.LeftKey(probe)
+		var matches int
+		allocs := testing.AllocsPerRun(100, func() {
+			matches = len(j.probe(probe, key, &j.bufR, j.col.ResidualL))
+		})
+		if matches != 8 {
+			t.Fatalf("keyed=%v: %d matches, want 8", keyed, matches)
+		}
+		if allocs != 0 {
+			t.Fatalf("keyed=%v: %.1f allocations per residual probe, want 0", keyed, allocs)
+		}
 	}
 }

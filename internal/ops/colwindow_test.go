@@ -46,9 +46,10 @@ func aggInput(n int, keys []string, seed int64) []core.Tuple {
 	return out
 }
 
-// compareStreams asserts the two drained output streams are identical: the
-// same data/heartbeat sequence and timestamps, same payloads, and under GL
-// the same contribution sets and stimuli.
+// compareStreams asserts the two drained output streams — one from the
+// spec derived from the row closures, one from the declared kernels — are
+// identical: the same data/heartbeat sequence and timestamps, same
+// payloads, and under GL the same contribution sets and stimuli.
 func compareStreams(t *testing.T, row, vec []core.Tuple, gl bool) {
 	t.Helper()
 	if len(row) == 0 || len(row) != len(vec) {
@@ -86,10 +87,11 @@ func compareStreams(t *testing.T, row, vec []core.Tuple, gl bool) {
 	}
 }
 
-// TestColAggregateMatchesRowAggregate: the columnar aggregate must reproduce
-// the row operator's output stream exactly — window outputs AND watermark
-// heartbeats, in sequence — keyed and unkeyed, tumbling and sliding, under
-// NP and GL, across batch sizes.
+// TestColAggregateMatchesRowAggregate: the declared fold and key kernels
+// must reproduce the output stream of the spec derived from the row
+// closures exactly — window outputs AND watermark heartbeats, in sequence —
+// keyed and unkeyed, tumbling and sliding, under NP and GL, across batch
+// sizes.
 func TestColAggregateMatchesRowAggregate(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -121,14 +123,14 @@ func TestColAggregateMatchesRowAggregate(t *testing.T) {
 					input := aggInput(300, []string{"a", "b", "c"}, 42)
 
 					rowOut := NewStream("out", 0)
-					ra := NewAggregate("agg", feedBatched(batch, input...), rowOut, spec, instr())
+					ra := newAggregate("agg", feedBatched(batch, input...), rowOut, spec, instr())
 					rowDone := make(chan []core.Tuple)
 					go func() { rowDone <- drainAll(t, rowOut) }()
 					runOps(t, ra)
 					row := <-rowDone
 
 					vecOut := NewStream("out", 0)
-					va := NewColAggregate("agg", feedBatched(batch, input...), vecOut, spec, col, nil, instr())
+					va := NewColAggregate("agg", feedBatched(batch, input...), vecOut, spec, col, nil, nil, instr())
 					vecDone := make(chan []core.Tuple)
 					go func() { vecDone <- drainAll(t, vecOut) }()
 					runOps(t, va)
@@ -143,9 +145,9 @@ func TestColAggregateMatchesRowAggregate(t *testing.T) {
 
 // TestColAggregateWithPrefixMatchesRowPrefix: a columnar prefix inlined into
 // the aggregate (the planner's hoisted shard-lane stages) must produce the
-// same stream as the row path's FusedStage prefix — dropped tuples advance
-// the watermark at their drop-time timestamps, mapped survivors window
-// identically.
+// same stream as the same prefix in row form on the derived spec — dropped
+// tuples advance the watermark at their drop-time timestamps, mapped
+// survivors window identically.
 func TestColAggregateWithPrefixMatchesRowPrefix(t *testing.T) {
 	rowPrefix := []FusedStage{
 		{Name: "keep-even", Kind: StageFilter, Pred: func(tp core.Tuple) bool { return tp.(*vTuple).Val%2 == 0 }},
@@ -184,14 +186,17 @@ func TestColAggregateWithPrefixMatchesRowPrefix(t *testing.T) {
 				return core.Noop{}
 			}
 			rowOut := NewStream("out", 0)
-			ra := NewAggregateFused("agg", feedBatched(7, input...), rowOut, spec, rowPrefix, instr())
+			ra := NewColAggregate("agg", feedBatched(7, input...), rowOut, spec, DeriveAggColSpec(spec), nil, rowPrefix, instr())
+			if ra.Stages() != 2 {
+				t.Fatalf("row prefix: Stages() = %d, want 2", ra.Stages())
+			}
 			rowDone := make(chan []core.Tuple)
 			go func() { rowDone <- drainAll(t, rowOut) }()
 			runOps(t, ra)
 			row := <-rowDone
 
 			vecOut := NewStream("out", 0)
-			va := NewColAggregate("agg", feedBatched(7, input...), vecOut, spec, col, colPrefix, instr())
+			va := NewColAggregate("agg", feedBatched(7, input...), vecOut, spec, col, colPrefix, nil, instr())
 			if va.Stages() != 2 {
 				t.Fatalf("Stages() = %d, want 2", va.Stages())
 			}
@@ -225,9 +230,9 @@ func joinSides(n int, seed int64) (left, right []core.Tuple) {
 	return mk(), mk()
 }
 
-// TestColJoinMatchesRowJoin: the hash-probed columnar join must reproduce
-// the row join's output stream exactly for a keyed predicate, with and
-// without a residual condition, under NP and GL.
+// TestColJoinMatchesRowJoin: the declared probe spec — hash probe alone, or
+// hash probe plus residual kernels — must reproduce the output stream of
+// the spec derived from the row predicate exactly, under NP and GL.
 func TestColJoinMatchesRowJoin(t *testing.T) {
 	combine := func(l, r core.Tuple) core.Tuple {
 		return vt(0, l.(*vTuple).Key, l.(*vTuple).Val*100+r.(*vTuple).Val)
@@ -293,7 +298,7 @@ func TestColJoinMatchesRowJoin(t *testing.T) {
 					left, right := joinSides(250, 11)
 
 					rowOut := NewStream("out", 0)
-					rj := NewJoin("j", feedBatched(batch, left...), feedBatched(batch, right...), rowOut, spec, instr())
+					rj := newJoin("j", feedBatched(batch, left...), feedBatched(batch, right...), rowOut, spec, instr())
 					rowDone := make(chan []core.Tuple)
 					go func() { rowDone <- drainAll(t, rowOut) }()
 					runOps(t, rj)
@@ -333,15 +338,20 @@ func TestColStatefulValidation(t *testing.T) {
 		Combine:   func(l, r core.Tuple) core.Tuple { return vt(0, "", 0) },
 		LeftKey:   keyOf, RightKey: keyOf}
 	expectPanic("agg without schema", func() {
-		NewColAggregate("a", in, out, keyedAgg, AggColSpec{Fold: vecSumFold, Key: vecKeyKernel}, nil, core.Noop{})
+		NewColAggregate("a", in, out, keyedAgg, AggColSpec{Fold: vecSumFold, Key: vecKeyKernel}, nil, nil, core.Noop{})
 	})
 	expectPanic("agg without fold", func() {
-		NewColAggregate("a", in, out, keyedAgg, AggColSpec{Schema: vSchema(), Key: vecKeyKernel}, nil, core.Noop{})
+		NewColAggregate("a", in, out, keyedAgg, AggColSpec{Schema: vSchema(), Key: vecKeyKernel}, nil, nil, core.Noop{})
 	})
 	expectPanic("agg key mismatch", func() {
-		NewColAggregate("a", in, out, keyedAgg, AggColSpec{Schema: vSchema(), Fold: vecSumFold}, nil, core.Noop{})
+		NewColAggregate("a", in, out, keyedAgg, AggColSpec{Schema: vSchema(), Fold: vecSumFold}, nil, nil, core.Noop{})
 	})
-	expectPanic("join unkeyed", func() {
+	expectPanic("agg with both prefix forms", func() {
+		NewColAggregate("a", in, out, keyedAgg, DeriveAggColSpec(keyedAgg),
+			[]ColStage{{Name: "f", Kind: StageFilter, Schema: vSchema(), Filter: func(c *ColBatch, sel, dst []int) []int { return dst }}},
+			[]FusedStage{{Name: "f", Kind: StageFilter, Pred: func(core.Tuple) bool { return true }}}, core.Noop{})
+	})
+	expectPanic("join unkeyed without residuals", func() {
 		unkeyed := keyedJoin
 		unkeyed.LeftKey, unkeyed.RightKey = nil, nil
 		NewColJoin("j", l, r, out, unkeyed, JoinColSpec{}, nil, nil, core.Noop{})
@@ -365,7 +375,7 @@ func tumblingAgg(ws int64, instr core.Instrumenter) (*ColAggregate, *Stream) {
 	out := NewBatchedStream("out", 1<<12, 1<<12)
 	spec := AggregateSpec{WS: ws, WA: ws, Key: keyOf, Fold: sumFold}
 	col := AggColSpec{Schema: vSchema(), Key: vecKeyKernel, Fold: vecSumFold}
-	return NewColAggregate("agg", NewStream("in", 0), out, spec, col, nil, instr), out
+	return NewColAggregate("agg", NewStream("in", 0), out, spec, col, nil, nil, instr), out
 }
 
 // windowRows returns the input of tumbling window w, [w*ws, (w+1)*ws): at

@@ -106,7 +106,7 @@ var _ Operator = (*FusedChain)(nil)
 
 // NewFusedChain returns a FusedChain applying the given stages in order; it
 // panics if the stage list is empty or a stage is invalid (a programming
-// error caught at query-construction time, like NewAggregate).
+// error caught at query-construction time, like NewColAggregate).
 func NewFusedChain(name string, in, out *Stream, stages []FusedStage, instr core.Instrumenter) *FusedChain {
 	if len(stages) == 0 {
 		panic(fmt.Sprintf("fused chain %q: no stages", name))
@@ -168,7 +168,7 @@ func (f *FusedChain) Run(ctx context.Context) error {
 // function calls, handing survivors to deliver (in order) and the watermarks
 // of dropped tuples to drop, coalesced once per distinct event time against
 // the last delivered timestamp. It is the per-tuple engine of FusedChain,
-// and host operators (Aggregate, Join, FanIn) reuse it to run a hoisted
+// and host operators (ColAggregate, ColJoin, FanIn) reuse it to run a hoisted
 // prefix or a fused suffix inline in their own input loop — same semantics
 // as a FusedChain feeding them through a stream, minus the stream and the
 // goroutine.

@@ -224,7 +224,7 @@ func TestFusedChainMultiEmitAndPass(t *testing.T) {
 }
 
 // TestFusedChainValidation: construction rejects empty chains and broken
-// stages with a panic (programming errors, like NewAggregate).
+// stages with a panic (programming errors, like NewColAggregate).
 func TestFusedChainValidation(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		t.Helper()

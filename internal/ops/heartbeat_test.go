@@ -105,7 +105,7 @@ func TestAggregateAdvancesOnHeartbeat(t *testing.T) {
 	// waiting for more data.
 	in := feed(vt(1, "k", 1), core.NewHeartbeat(25))
 	out := NewStream("out", 16)
-	a := NewAggregate("a", in, out, AggregateSpec{WS: 10, WA: 10, Fold: countFold}, core.Noop{})
+	a := newAggregate("a", in, out, AggregateSpec{WS: 10, WA: 10, Fold: countFold}, core.Noop{})
 	runOps(t, a)
 	all := drainAll(t, out)
 	var data []core.Tuple
@@ -134,7 +134,7 @@ func TestAggregateHeartbeatBeforeFirstTupleIsConservative(t *testing.T) {
 	// future tuple could still open.
 	in := feed(core.NewHeartbeat(100), vt(101, "k", 1))
 	out := NewStream("out", 64)
-	a := NewAggregate("a", in, out, AggregateSpec{WS: 10, WA: 5, Fold: countFold}, core.Noop{})
+	a := newAggregate("a", in, out, AggregateSpec{WS: 10, WA: 5, Fold: countFold}, core.Noop{})
 	runOps(t, a)
 	all := drainAll(t, out)
 	for i := 1; i < len(all); i++ {
@@ -155,7 +155,7 @@ func TestJoinForwardsWatermarkBetweenMatches(t *testing.T) {
 	}
 	l, r := feed(left...), feed(right...)
 	out := NewStream("out", 64)
-	j := NewJoin("j", l, r, out, spec, core.Noop{})
+	j := newJoin("j", l, r, out, spec, core.Noop{})
 	runOps(t, j)
 	hbs := heartbeats(drainAll(t, out))
 	if len(hbs) == 0 {
@@ -178,7 +178,7 @@ func TestJoinConsumesHeartbeatsFromInputs(t *testing.T) {
 	}
 	l, r := feed(left...), feed(right...)
 	out := NewStream("out", 64)
-	j := NewJoin("j", l, r, out, spec, core.Noop{})
+	j := newJoin("j", l, r, out, spec, core.Noop{})
 	runOps(t, j)
 	all := drainAll(t, out)
 	var data []core.Tuple

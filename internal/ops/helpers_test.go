@@ -151,3 +151,13 @@ func countFold(window []core.Tuple, start, end int64, key string) core.Tuple {
 func keyOf(t core.Tuple) string { return t.(*vTuple).Key }
 
 func valStr(v int64) string { return strconv.FormatInt(v, 10) }
+
+// newAggregate builds an Aggregate on the spec derived from its row closures.
+func newAggregate(name string, in, out *Stream, spec AggregateSpec, instr core.Instrumenter) *ColAggregate {
+	return NewColAggregate(name, in, out, spec, DeriveAggColSpec(spec), nil, nil, instr)
+}
+
+// newJoin builds a Join on the spec derived from its row predicate.
+func newJoin(name string, left, right, out *Stream, spec JoinSpec, instr core.Instrumenter) *ColJoin {
+	return NewColJoin(name, left, right, out, spec, DeriveJoinColSpec(spec), nil, nil, instr)
+}

@@ -3,13 +3,12 @@ package ops
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 
 	"genealog/internal/core"
 )
 
-// JoinSpec configures a Join operator.
+// JoinSpec configures a windowed Join (paper §2), which ColJoin executes.
 type JoinSpec struct {
 	// WS is the join window: a left tuple l and right tuple r can match only
 	// if |l.ts - r.ts| <= WS.
@@ -21,13 +20,14 @@ type JoinSpec struct {
 	// sorted) and merges the pair's stimuli; Combine only fills the payload.
 	Combine func(l, r core.Tuple) core.Tuple
 	// LeftKey and RightKey extract the equi-join key of each side.
-	// Shard-parallel execution (ShardJoin) requires both and partitions each
+	// Shard-parallel execution (ShardJoinCfg) requires both and partitions each
 	// input by its key, so the Predicate must only match pairs whose keys are
 	// equal — pairs spanning different keys would land on different shards
-	// and never meet. A keyed Join additionally emits same-timestamp outputs
-	// in (left key, right key) order rather than match order, which makes
-	// its output byte-identical — not just the same timestamp-sorted
-	// multiset — across serial, shard-parallel, fused and vectorized plans.
+	// and never meet. Same-timestamp outputs leave in (left key, right key)
+	// order, which makes a keyed Join's output byte-identical — not just the
+	// same timestamp-sorted multiset — across serial, shard-parallel, fused
+	// and vectorized plans. Without keys, both sides share one constant key
+	// and outputs leave in match order.
 	LeftKey  func(t core.Tuple) string
 	RightKey func(t core.Tuple) string
 }
@@ -42,6 +42,9 @@ func (s JoinSpec) validate() error {
 	return nil
 }
 
+// keyed reports whether the spec declares both equi-join keys.
+func (s JoinSpec) keyed() bool { return s.LeftKey != nil && s.RightKey != nil }
+
 // pendingJoinOut is one same-timestamp output held back for the keyed
 // (timestamp, left key, right key) emission-order tie-break.
 type pendingJoinOut struct {
@@ -49,10 +52,9 @@ type pendingJoinOut struct {
 	lk, rk string
 }
 
-// joinEmitter is the output side shared by the row and columnar joins: the
-// keyed same-timestamp tie-break buffer and the coalesced watermark
-// advertisements. Both operators feed it the same match sequence, so their
-// downstream-visible output is byte-identical by construction.
+// joinEmitter is ColJoin's output side: the (left key, right key)
+// same-timestamp tie-break buffer and the coalesced watermark
+// advertisements.
 type joinEmitter struct {
 	out *Stream
 
@@ -122,208 +124,27 @@ func (e *joinEmitter) advertise(ctx context.Context, watermark int64) error {
 	return e.out.Send(ctx, core.NewHeartbeat(watermark))
 }
 
-// Join produces one output tuple for every pair of left/right tuples within
-// event-time distance WS that satisfies the predicate (paper §2). The two
-// inputs are consumed through the deterministic timestamp-sorted merge, so
-// the match order — and therefore the output — is deterministic. Each output
-// is linked to its two contributors through the instrumenter (U1 = the more
-// recent, U2 = the older, Type=JOIN; paper §4.1).
-//
-// A keyed Join (both LeftKey and RightKey set) defers its same-timestamp
-// outputs and emits them sorted by (left key, right key) once the merged
-// watermark passes their timestamp: the serial operator then produces
-// exactly the sequence a shard-parallel deployment's (timestamp, key)
-// fan-in reconstructs, so joins are byte-identical across plans.
-//
-// The planner can inline a hoisted stateless prefix per side (NewJoinFused):
-// the stages run against each side's tuples inside the merge loop, exactly
-// as a per-lane FusedChain would, minus the stream and goroutine. Join
-// prefixes must preserve timestamps, which the planner guarantees by only
-// hoisting Map-free chains above join partitions.
-type Join struct {
-	joinEmitter
-
-	name    string
-	left    *Stream
-	right   *Stream
-	spec    JoinSpec
-	instr   core.Instrumenter
-	prefixL []FusedStage
-	prefixR []FusedStage
-
-	keyed bool
-	bufL  []core.Tuple
-	bufR  []core.Tuple
-}
-
-var _ Operator = (*Join)(nil)
-
-// NewJoin returns a Join operator; it panics if the spec is invalid (a
-// programming error caught at query-construction time).
-func NewJoin(name string, left, right, out *Stream, spec JoinSpec, instr core.Instrumenter) *Join {
-	return NewJoinFused(name, left, right, out, spec, nil, nil, instr)
-}
-
-// NewJoinFused returns a Join that first pushes each side's tuples through
-// the given inlined stateless stages (either may be empty). It panics if the
-// spec or a stage is invalid.
-func NewJoinFused(name string, left, right, out *Stream, spec JoinSpec, prefixL, prefixR []FusedStage, instr core.Instrumenter) *Join {
-	if err := spec.validate(); err != nil {
-		panic(fmt.Sprintf("join %q: %v", name, err))
-	}
-	for _, s := range append(append([]FusedStage(nil), prefixL...), prefixR...) {
-		if err := s.validate(); err != nil {
-			panic(fmt.Sprintf("join %q: %v", name, err))
-		}
-	}
-	return &Join{
-		joinEmitter: joinEmitter{out: out},
-		name:        name, left: left, right: right, spec: spec, instr: instr,
-		prefixL: prefixL, prefixR: prefixR,
-		keyed: spec.LeftKey != nil && spec.RightKey != nil,
-	}
-}
-
-// Name implements Operator.
-func (j *Join) Name() string { return j.name }
-
-// Run implements Operator.
-func (j *Join) Run(ctx context.Context) error {
-	defer j.out.CloseSend(ctx)
-	var apL, apR *stageApplier
-	if len(j.prefixL) > 0 {
-		apL = newStageApplier(j.prefixL, j.instr,
-			func(t core.Tuple) error { return j.step(ctx, t, true) },
-			func(ts int64) error { return j.watermark(ctx, ts) })
-	}
-	if len(j.prefixR) > 0 {
-		apR = newStageApplier(j.prefixR, j.instr,
-			func(t core.Tuple) error { return j.step(ctx, t, false) },
-			func(ts int64) error { return j.watermark(ctx, ts) })
-	}
-	merge := newTSMerge([]*Stream{j.left, j.right})
-	merge.onStarve = j.out.Flush
-	for {
-		t, input, ok, err := merge.Next(ctx)
-		if err != nil {
-			return fmt.Errorf("join %q: %w", j.name, err)
-		}
-		if !ok {
-			err := j.flushPending(ctx)
-			j.bufL, j.bufR = nil, nil
-			if err != nil {
-				return fmt.Errorf("join %q: %w", j.name, err)
+// DeriveJoinColSpec returns the columnar spec that runs spec's row
+// Predicate on ColJoin: empty window schemas and residual kernels that call
+// the Predicate on every same-key candidate pair, in arrival order. It is the
+// spec of every Join that declares no kernels, and of every Join when
+// vectorization is off.
+func DeriveJoinColSpec(spec JoinSpec) JoinColSpec {
+	pred := spec.Predicate
+	residual := func(fromLeft bool) ProbeKernel {
+		return func(t core.Tuple, cand *ColSeg, sel []int, dst []int) []int {
+			rows := cand.Rows()
+			for _, pos := range sel {
+				l, r := t, rows[pos]
+				if !fromLeft {
+					l, r = r, l
+				}
+				if pred(l, r) {
+					dst = append(dst, pos)
+				}
 			}
-			return nil
-		}
-		fromLeft := input == 0
-		ap := apL
-		if !fromLeft {
-			ap = apR
-		}
-		switch {
-		case core.IsHeartbeat(t):
-			// The watermark (t.ts) bounds every future tuple's timestamp
-			// from below, so tuples older than ts-WS on either side can
-			// never match again.
-			horizon := t.Timestamp() - j.spec.WS
-			j.bufL = purgeBefore(j.bufL, horizon)
-			j.bufR = purgeBefore(j.bufR, horizon)
-			if ap != nil {
-				err = ap.skip(t.Timestamp())
-			} else {
-				err = j.watermark(ctx, t.Timestamp())
-			}
-		case ap != nil:
-			err = ap.run(t)
-		default:
-			err = j.step(ctx, t, fromLeft)
-		}
-		if err != nil {
-			return fmt.Errorf("join %q: %w", j.name, err)
+			return dst
 		}
 	}
-}
-
-// step processes one data tuple that reached the join proper: probe the
-// opposite buffer in arrival order, emit the matches, insert, advertise.
-func (j *Join) step(ctx context.Context, t core.Tuple, fromLeft bool) error {
-	ts := t.Timestamp()
-	if len(j.pending) > 0 && ts > j.pendingTs {
-		if err := j.flushPending(ctx); err != nil {
-			return err
-		}
-	}
-	horizon := ts - j.spec.WS
-	j.bufL = purgeBefore(j.bufL, horizon)
-	j.bufR = purgeBefore(j.bufR, horizon)
-	opposite := j.bufR
-	if !fromLeft {
-		opposite = j.bufL
-	}
-	for _, o := range opposite {
-		l, r := t, o
-		if !fromLeft {
-			l, r = o, t
-		}
-		if !j.spec.Predicate(l, r) {
-			continue
-		}
-		out := j.spec.Combine(l, r)
-		if out == nil {
-			continue
-		}
-		if m := core.MetaOf(out); m != nil {
-			m.SetTimestamp(maxInt64(l.Timestamp(), r.Timestamp()))
-			if lm := core.MetaOf(l); lm != nil {
-				m.MergeStimulus(lm.Stimulus())
-			}
-			if rm := core.MetaOf(r); rm != nil {
-				m.MergeStimulus(rm.Stimulus())
-			}
-		}
-		// The incoming tuple t is at least as recent as the buffered o.
-		j.instr.OnJoin(out, t, o)
-		if j.keyed {
-			// Hold same-timestamp outputs for the (left key, right key)
-			// tie-break; the merge delivers in timestamp order, so every
-			// output of this step carries t's timestamp.
-			j.hold(out, j.spec.LeftKey(l), j.spec.RightKey(r))
-			continue
-		}
-		j.lastOut, j.haveLast = out.Timestamp(), true
-		if err := j.out.Send(ctx, out); err != nil {
-			return err
-		}
-	}
-	if fromLeft {
-		j.bufL = append(j.bufL, t)
-	} else {
-		j.bufR = append(j.bufR, t)
-	}
-	// A join between matches creates sparsity; keep downstream merges
-	// informed of the watermark.
-	return j.watermark(ctx, ts)
-}
-
-// purgeBefore drops the (timestamp-ordered) prefix of buf strictly older
-// than horizon, clearing references so the garbage collector can reclaim
-// non-contributing tuples immediately (challenge C2).
-func purgeBefore(buf []core.Tuple, horizon int64) []core.Tuple {
-	i := 0
-	for i < len(buf) && buf[i].Timestamp() < horizon {
-		buf[i] = nil
-		i++
-	}
-	if i == 0 {
-		return buf
-	}
-	return append(buf[:0], buf[i:]...)
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return JoinColSpec{Left: emptyColSchema, Right: emptyColSchema, ResidualL: residual(true), ResidualR: residual(false)}
 }

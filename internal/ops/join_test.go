@@ -1,7 +1,10 @@
 package ops
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"genealog/internal/core"
@@ -11,7 +14,7 @@ func runJoin(t *testing.T, spec JoinSpec, instr core.Instrumenter, left, right [
 	t.Helper()
 	l, r := feed(left...), feed(right...)
 	out := NewStream("out", 4096)
-	j := NewJoin("j", l, r, out, spec, instr)
+	j := newJoin("j", l, r, out, spec, instr)
 	runOps(t, j)
 	return drain(t, out)
 }
@@ -133,44 +136,63 @@ func TestJoinDeterministicOrder(t *testing.T) {
 }
 
 // TestJoinBruteForceProperty compares the streaming join against a brute
-// force nested loop over random inputs.
+// force nested loop over random inputs, on the spec derived from the row
+// predicate: unkeyed (one constant key, the whole predicate as residual) and
+// keyed (hash probe plus the predicate as residual).
 func TestJoinBruteForceProperty(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		mk := func(n int, key string) []core.Tuple {
-			var outp []core.Tuple
-			ts := int64(0)
-			for i := 0; i < n; i++ {
-				ts += rng.Int63n(5)
-				outp = append(outp, vt(ts, key, rng.Int63n(10)))
-			}
-			return outp
-		}
-		left, right := mk(60, "l"), mk(60, "r")
-		ws := int64(1 + rng.Intn(12))
-		pred := func(l, r core.Tuple) bool { return (l.(*vTuple).Val+r.(*vTuple).Val)%2 == 0 }
-		spec := JoinSpec{
-			WS:        ws,
-			Predicate: pred,
-			Combine: func(l, r core.Tuple) core.Tuple {
-				return vt(0, "o", l.(*vTuple).Val*100+r.(*vTuple).Val)
-			},
-		}
-		want := 0
-		for _, l := range left {
-			for _, r := range right {
-				d := l.Timestamp() - r.Timestamp()
-				if d < 0 {
-					d = -d
+		for _, keyed := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(seed))
+			mk := func(n int) []core.Tuple {
+				var outp []core.Tuple
+				ts := int64(0)
+				for i := 0; i < n; i++ {
+					ts += rng.Int63n(5)
+					outp = append(outp, vt(ts, []string{"a", "b"}[rng.Intn(2)], rng.Int63n(10)))
 				}
-				if d <= ws && pred(l, r) {
-					want++
+				return outp
+			}
+			left, right := mk(60), mk(60)
+			ws := int64(1 + rng.Intn(12))
+			pred := func(l, r core.Tuple) bool { return (l.(*vTuple).Val+r.(*vTuple).Val)%2 == 0 }
+			spec := JoinSpec{
+				WS: ws,
+				Combine: func(l, r core.Tuple) core.Tuple {
+					return vt(0, "o", l.(*vTuple).Val*100+r.(*vTuple).Val)
+				},
+			}
+			if keyed {
+				spec.LeftKey, spec.RightKey = keyOf, keyOf
+				spec.Predicate = func(l, r core.Tuple) bool { return keyOf(l) == keyOf(r) && pred(l, r) }
+			} else {
+				spec.Predicate = pred
+			}
+			var want []string
+			for _, l := range left {
+				for _, r := range right {
+					d := l.Timestamp() - r.Timestamp()
+					if d < 0 {
+						d = -d
+					}
+					if d <= ws && spec.Predicate(l, r) {
+						ts := max(l.Timestamp(), r.Timestamp())
+						want = append(want, fmt.Sprintf("%04d/%d", ts, l.(*vTuple).Val*100+r.(*vTuple).Val))
+					}
 				}
 			}
-		}
-		got := runJoin(t, spec, core.Noop{}, left, right)
-		if len(got) != want {
-			t.Fatalf("seed %d: join produced %d matches, brute force %d", seed, len(got), want)
+			out := runJoin(t, spec, core.Noop{}, left, right)
+			got := make([]string, len(out))
+			for i, o := range out {
+				if i > 0 && o.Timestamp() < out[i-1].Timestamp() {
+					t.Fatalf("seed %d keyed=%v: output not sorted at %d", seed, keyed, i)
+				}
+				got[i] = fmt.Sprintf("%04d/%d", o.Timestamp(), o.(*vTuple).Val)
+			}
+			sort.Strings(got)
+			sort.Strings(want)
+			if strings.Join(got, " ") != strings.Join(want, " ") {
+				t.Fatalf("seed %d keyed=%v: join produced %v, brute force %v", seed, keyed, got, want)
+			}
 		}
 	}
 }
@@ -184,10 +206,10 @@ func TestJoinSpecValidation(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("spec %d: NewJoin must panic on invalid spec", i)
+					t.Errorf("spec %d: the join must panic on invalid spec", i)
 				}
 			}()
-			NewJoin("j", NewStream("l", 1), NewStream("r", 1), NewStream("o", 1), spec, core.Noop{})
+			newJoin("j", NewStream("l", 1), NewStream("r", 1), NewStream("o", 1), spec, core.Noop{})
 		}()
 	}
 }

@@ -437,6 +437,9 @@ func (s *ShardSuffix) stages() []FusedStage {
 // ShardConfig bundles the planner-derived physical options of a sharded
 // Aggregate subgraph.
 type ShardConfig struct {
+	// Agg is the columnar spec every lane's ColAggregate runs: the declared
+	// one, or DeriveAggColSpec's.
+	Agg AggColSpec
 	// Prefix is the hoisted stateless chain replicated into every lane.
 	Prefix *ShardPrefix
 	// Suffix is the stateless chain folded into the fan-in.
@@ -446,13 +449,10 @@ type ShardConfig struct {
 	// value of the routing key function (ShardPrefix.routeKey) on every input
 	// tuple.
 	ColKey *ColKey
-	// Agg, when non-nil, runs every lane as a ColAggregate: columnar window
-	// state with the declared fold kernel instead of the row Fold closure.
-	Agg *AggColSpec
-	// VecPrefix carries the hoisted prefix as columnar stages when Agg is
-	// set; it must mirror Prefix.Stages one-to-one (same logical operators,
-	// kernel form), so each lane runs the whole prefix→aggregate span over
-	// columns.
+	// VecPrefix, when non-nil, carries the hoisted prefix as columnar stages;
+	// it must mirror Prefix.Stages one-to-one (same logical operators, kernel
+	// form), so each lane runs the whole prefix→aggregate span over columns.
+	// Without it the lanes run Prefix.Stages as row stages.
 	VecPrefix []ColStage
 	// Observe, when non-nil, is called once for every internal stream of the
 	// subgraph (partition lanes and merge lanes) at construction time, before
@@ -464,57 +464,39 @@ type ShardConfig struct {
 // ShardJoinConfig bundles the planner-derived physical options of a sharded
 // Join subgraph.
 type ShardJoinConfig struct {
+	// Join is the columnar spec every lane's ColJoin runs: the declared one,
+	// or DeriveJoinColSpec's.
+	Join JoinColSpec
 	// Left and Right are the hoisted per-side stateless chains replicated
-	// into every lane.
+	// into every lane. Lane prefixes are row stages — the join's merge
+	// consumes tuple-at-a-time.
 	Left, Right *ShardPrefix
 	// Suffix is the stateless chain folded into the fan-in.
 	Suffix *ShardSuffix
 	// LeftColKey and RightColKey vectorize the per-side routing key
 	// extraction, like ShardConfig.ColKey.
 	LeftColKey, RightColKey *ColKey
-	// Join, when non-nil, runs every lane as a ColJoin: hash-probed window
-	// state (with optional residual kernels) instead of the row predicate
-	// scan. Lane prefixes stay row stages either way — the join's merge
-	// consumes tuple-at-a-time.
-	Join *JoinColSpec
 	// Observe, when non-nil, is called once for every internal stream of the
 	// subgraph at construction time (see ShardConfig.Observe).
 	Observe func(*Stream)
 }
 
-// ShardAggregate expands a keyed Aggregate into parallelism independent
-// instances, each folding the hash-partition of the key space assigned to
-// it, bracketed by a Partition and a FanIn. It returns the operators of the
-// subgraph (instances, then partitioner, then fan-in), which the caller
-// runs like any other operators.
+// ShardAggregateCfg expands a keyed Aggregate into parallelism independent
+// ColAggregate instances, each folding the hash-partition of the key space
+// assigned to it, bracketed by a Partition and a FanIn. It returns the
+// operators of the subgraph (instances, then partitioner, then fan-in),
+// which the caller runs like any other operators.
 //
 // The sink-observable output is identical to a serial Aggregate for every
 // instrumentation mode: windows close at the same watermarks on every shard
-// (the Partition broadcasts watermark progress), each group's buffer — and
+// (the Partition broadcasts watermark progress), each group's window — and
 // therefore its provenance chain and window folds — is byte-identical to
 // the serial operator's, and the FanIn restores the (window, key) emission
 // order. chanCap sizes the internal shard streams (<= 0 selects
 // DefaultStreamCapacity); batchSize sets their batch size (<= 0 selects 1),
 // amortising partition/fan-in channel operations across tuple vectors.
-func ShardAggregate(name string, in, out *Stream, spec AggregateSpec, instr core.Instrumenter, parallelism, chanCap, batchSize int) ([]Operator, error) {
-	return ShardAggregatePrefixed(name, in, out, spec, instr, parallelism, chanCap, batchSize, nil)
-}
-
-// ShardAggregatePrefixed is ShardAggregate with an optional fused stateless
-// prefix replicated into every shard lane (see ShardPrefix).
-func ShardAggregatePrefixed(name string, in, out *Stream, spec AggregateSpec, instr core.Instrumenter, parallelism, chanCap, batchSize int, prefix *ShardPrefix) ([]Operator, error) {
-	return ShardAggregateCfg(name, in, out, spec, instr, parallelism, chanCap, batchSize, ShardConfig{Prefix: prefix})
-}
-
-// ShardAggregateCfg is ShardAggregate with the full set of planner-derived
-// physical options (see ShardConfig): the partitioner consumes the pre-prefix
-// stream (extracting routing keys batch-wise when a ColKey is declared), each
-// lane's Aggregate instance runs the prefix stages inline in its own input
-// loop, and the fan-in runs the suffix stages inline in its merge loop.
-// Every shard still receives exactly the serial prefix output restricted to
-// its keys, in order, so output and provenance remain identical to the serial
-// chain — the stateless work just runs on parallelism goroutines (prefix) or
-// fused into the merge (suffix) instead of on dedicated chain goroutines.
+// With a hoisted prefix (see ShardConfig) every shard still receives
+// exactly the serial prefix output restricted to its keys, in order.
 func ShardAggregateCfg(name string, in, out *Stream, spec AggregateSpec, instr core.Instrumenter, parallelism, chanCap, batchSize int, cfg ShardConfig) ([]Operator, error) {
 	if parallelism < 2 {
 		return nil, errors.New("sharded aggregate: parallelism must be at least 2")
@@ -525,38 +507,30 @@ func ShardAggregateCfg(name string, in, out *Stream, spec AggregateSpec, instr c
 	if err := spec.validate(); err != nil {
 		return nil, fmt.Errorf("sharded aggregate: %w", err)
 	}
+	if err := cfg.Agg.Validate(spec); err != nil {
+		return nil, fmt.Errorf("sharded aggregate: %w", err)
+	}
 	if err := cfg.Prefix.validate(); err != nil {
 		return nil, fmt.Errorf("sharded aggregate: %w", err)
 	}
 	if err := cfg.Suffix.validate(); err != nil {
 		return nil, fmt.Errorf("sharded aggregate: %w", err)
 	}
-	if cfg.Agg == nil && cfg.VecPrefix != nil {
-		return nil, errors.New("sharded aggregate: VecPrefix requires a columnar Agg spec")
+	rowPrefix := cfg.Prefix.stages()
+	if cfg.VecPrefix != nil {
+		if len(cfg.VecPrefix) != len(rowPrefix) {
+			return nil, errors.New("sharded aggregate: VecPrefix must mirror the hoisted prefix stage for stage")
+		}
+		rowPrefix = nil
 	}
-	if cfg.Agg != nil && len(cfg.VecPrefix) != len(cfg.Prefix.stages()) {
-		return nil, errors.New("sharded aggregate: VecPrefix must mirror the hoisted prefix stage for stage")
-	}
-	fold := spec.Fold
-	shardSpec := spec
-	shardSpec.Fold = func(w []core.Tuple, start, end int64, key string) core.Tuple {
-		t := fold(w, start, end, key)
+	colFold := cfg.Agg.Fold
+	shardCol := cfg.Agg
+	shardCol.Fold = func(seg *ColSeg, start, end int64, key string) core.Tuple {
+		t := colFold(seg, start, end, key)
 		if t == nil {
 			return nil
 		}
 		return &shardTagged{inner: t, key: key}
-	}
-	var shardCol AggColSpec
-	if cfg.Agg != nil {
-		colFold := cfg.Agg.Fold
-		shardCol = *cfg.Agg
-		shardCol.Fold = func(seg *ColSeg, start, end int64, key string) core.Tuple {
-			t := colFold(seg, start, end, key)
-			if t == nil {
-				return nil
-			}
-			return &shardTagged{inner: t, key: key}
-		}
 	}
 	operators := make([]Operator, 0, parallelism+2)
 	shardIns := make([]*Stream, parallelism)
@@ -568,11 +542,7 @@ func ShardAggregateCfg(name string, in, out *Stream, spec AggregateSpec, instr c
 			cfg.Observe(shardIns[i])
 			cfg.Observe(shardOuts[i])
 		}
-		if cfg.Agg != nil {
-			operators = append(operators, NewColAggregate(fmt.Sprintf("%s#%d", name, i), shardIns[i], shardOuts[i], shardSpec, shardCol, cfg.VecPrefix, instr))
-		} else {
-			operators = append(operators, NewAggregateFused(fmt.Sprintf("%s#%d", name, i), shardIns[i], shardOuts[i], shardSpec, cfg.Prefix.stages(), instr))
-		}
+		operators = append(operators, NewColAggregate(fmt.Sprintf("%s#%d", name, i), shardIns[i], shardOuts[i], spec, shardCol, cfg.VecPrefix, rowPrefix, instr))
 	}
 	operators = append(operators,
 		NewPartitionCol(name+"/part", in, shardIns, cfg.Prefix.routeKey(spec.Key), cfg.ColKey),
@@ -580,43 +550,30 @@ func ShardAggregateCfg(name string, in, out *Stream, spec AggregateSpec, instr c
 	return operators, nil
 }
 
-// ShardJoin expands an equi-Join into parallelism independent instances:
-// both inputs are hash-partitioned by their join key (LeftKey/RightKey), so
-// every matching pair meets on exactly one shard, and the shard outputs are
-// recombined by a FanIn. The JoinSpec's Predicate must only match pairs
-// with equal keys — pairs spanning different keys would be routed to
-// different shards and silently lost.
+// ShardJoinCfg expands an equi-Join into parallelism independent ColJoin
+// instances: both inputs are hash-partitioned by their join key
+// (LeftKey/RightKey), so every matching pair meets on exactly one shard, and
+// the shard outputs are recombined by a FanIn. The JoinSpec's Predicate must
+// only match pairs with equal keys — pairs spanning different keys would be
+// routed to different shards and silently lost.
 //
-// The serial keyed Join already emits same-timestamp outputs in (left key,
-// right key) order (see Join), and the FanIn's (timestamp, key) merge
+// The serial Join already emits same-timestamp outputs in (left key, right
+// key) order (see ColJoin), and the FanIn's (timestamp, key) merge
 // reconstructs exactly that sequence from the shard subsequences, so the
 // sharded output is byte-identical to Parallelism(1), like the Aggregate
 // expansion.
-func ShardJoin(name string, left, right, out *Stream, spec JoinSpec, instr core.Instrumenter, parallelism, chanCap, batchSize int) ([]Operator, error) {
-	return ShardJoinPrefixed(name, left, right, out, spec, instr, parallelism, chanCap, batchSize, nil, nil)
-}
-
-// ShardJoinPrefixed is ShardJoin with an optional fused stateless prefix per
-// input side, replicated into every shard lane (see ShardPrefix).
-func ShardJoinPrefixed(name string, left, right, out *Stream, spec JoinSpec, instr core.Instrumenter, parallelism, chanCap, batchSize int, leftPrefix, rightPrefix *ShardPrefix) ([]Operator, error) {
-	return ShardJoinCfg(name, left, right, out, spec, instr, parallelism, chanCap, batchSize, ShardJoinConfig{Left: leftPrefix, Right: rightPrefix})
-}
-
-// ShardJoinCfg is ShardJoin with the full set of planner-derived physical
-// options (see ShardJoinConfig): each side's partitioner consumes the
-// pre-prefix stream, every lane's Join instance runs that side's prefix
-// stages inline in its merge loop, and the fan-in runs the suffix stages
-// inline. Join lane prefixes must preserve timestamps (the lane merge orders
-// the pre-prefix streams), which the planner guarantees by only hoisting
-// Map-free chains above join partitions.
+// Lane prefixes must preserve timestamps (see NewColJoin).
 func ShardJoinCfg(name string, left, right, out *Stream, spec JoinSpec, instr core.Instrumenter, parallelism, chanCap, batchSize int, cfg ShardJoinConfig) ([]Operator, error) {
 	if parallelism < 2 {
 		return nil, errors.New("sharded join: parallelism must be at least 2")
 	}
-	if spec.LeftKey == nil || spec.RightKey == nil {
+	if !spec.keyed() {
 		return nil, errors.New("sharded join: LeftKey and RightKey are required to partition by")
 	}
 	if err := spec.validate(); err != nil {
+		return nil, fmt.Errorf("sharded join: %w", err)
+	}
+	if err := cfg.Join.Validate(spec); err != nil {
 		return nil, fmt.Errorf("sharded join: %w", err)
 	}
 	if err := cfg.Left.validate(); err != nil {
@@ -651,11 +608,7 @@ func ShardJoinCfg(name string, left, right, out *Stream, spec JoinSpec, instr co
 			cfg.Observe(rightIns[i])
 			cfg.Observe(shardOuts[i])
 		}
-		if cfg.Join != nil {
-			operators = append(operators, NewColJoin(fmt.Sprintf("%s#%d", name, i), leftIns[i], rightIns[i], shardOuts[i], shardSpec, *cfg.Join, cfg.Left.stages(), cfg.Right.stages(), instr))
-		} else {
-			operators = append(operators, NewJoinFused(fmt.Sprintf("%s#%d", name, i), leftIns[i], rightIns[i], shardOuts[i], shardSpec, cfg.Left.stages(), cfg.Right.stages(), instr))
-		}
+		operators = append(operators, NewColJoin(fmt.Sprintf("%s#%d", name, i), leftIns[i], rightIns[i], shardOuts[i], shardSpec, cfg.Join, cfg.Left.stages(), cfg.Right.stages(), instr))
 	}
 	operators = append(operators,
 		NewPartitionCol(name+"/part-l", left, leftIns, cfg.Left.routeKey(spec.LeftKey), cfg.LeftColKey),

@@ -136,7 +136,7 @@ func TestShardAggregateMatchesSerialByteForByte(t *testing.T) {
 	serialOut := func() []core.Tuple {
 		in := feed(build()...)
 		out := NewStream("out", 1024)
-		a := NewAggregate("agg", in, out, spec, core.Noop{})
+		a := newAggregate("agg", in, out, spec, core.Noop{})
 		if err := a.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestShardAggregateMatchesSerialByteForByte(t *testing.T) {
 	for _, parallelism := range []int{2, 3, 4} {
 		in := feed(build()...)
 		out := NewStream("out", 4096)
-		operators, err := ShardAggregate("agg", in, out, spec, core.Noop{}, parallelism, 64, 1)
+		operators, err := ShardAggregateCfg("agg", in, out, spec, core.Noop{}, parallelism, 64, 1, ShardConfig{Agg: DeriveAggColSpec(spec)})
 		runShardSubgraph(t, operators, err)
 		got := drain(t, out)
 		if len(got) != len(serialOut) {
@@ -202,7 +202,7 @@ func TestShardJoinMatchesSerialExactly(t *testing.T) {
 	serial := func() []core.Tuple {
 		left, right := feed(buildSide(1)...), feed(buildSide(2)...)
 		out := NewStream("out", 1<<14)
-		j := NewJoin("join", left, right, out, spec, core.Noop{})
+		j := newJoin("join", left, right, out, spec, core.Noop{})
 		if err := j.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestShardJoinMatchesSerialExactly(t *testing.T) {
 	for _, parallelism := range []int{2, 4} {
 		left, right := feed(buildSide(1)...), feed(buildSide(2)...)
 		out := NewStream("out", 1<<14)
-		operators, err := ShardJoin("join", left, right, out, spec, core.Noop{}, parallelism, 64, 1)
+		operators, err := ShardJoinCfg("join", left, right, out, spec, core.Noop{}, parallelism, 64, 1, ShardJoinConfig{Join: DeriveJoinColSpec(spec)})
 		runShardSubgraph(t, operators, err)
 		got := render(drain(t, out))
 		if len(got) != len(want) {
@@ -230,18 +230,23 @@ func TestShardJoinMatchesSerialExactly(t *testing.T) {
 
 func TestShardSpecValidation(t *testing.T) {
 	in, out := NewStream("in", 1), NewStream("out", 1)
-	if _, err := ShardAggregate("a", in, out, AggregateSpec{WS: 1, WA: 1, Fold: sumFold}, core.Noop{}, 4, 0, 0); err == nil {
+	unkeyed := AggregateSpec{WS: 1, WA: 1, Fold: sumFold}
+	if _, err := ShardAggregateCfg("a", in, out, unkeyed, core.Noop{}, 4, 0, 0, ShardConfig{Agg: DeriveAggColSpec(unkeyed)}); err == nil {
 		t.Fatal("sharded aggregate without a Key must be rejected")
 	}
-	if _, err := ShardAggregate("a", in, out, AggregateSpec{WS: 1, WA: 1, Key: keyOf, Fold: sumFold}, core.Noop{}, 1, 0, 0); err == nil {
+	keyed := AggregateSpec{WS: 1, WA: 1, Key: keyOf, Fold: sumFold}
+	if _, err := ShardAggregateCfg("a", in, out, keyed, core.Noop{}, 1, 0, 0, ShardConfig{Agg: DeriveAggColSpec(keyed)}); err == nil {
 		t.Fatal("parallelism < 2 must be rejected")
+	}
+	if _, err := ShardAggregateCfg("a", in, out, keyed, core.Noop{}, 4, 0, 0, ShardConfig{}); err == nil {
+		t.Fatal("sharded aggregate without a columnar spec must be rejected")
 	}
 	spec := JoinSpec{
 		WS:        1,
 		Predicate: func(l, r core.Tuple) bool { return true },
 		Combine:   func(l, r core.Tuple) core.Tuple { return nil },
 	}
-	if _, err := ShardJoin("j", in, in, out, spec, core.Noop{}, 4, 0, 0); err == nil {
+	if _, err := ShardJoinCfg("j", in, in, out, spec, core.Noop{}, 4, 0, 0, ShardJoinConfig{Join: DeriveJoinColSpec(spec)}); err == nil {
 		t.Fatal("sharded join without key extractors must be rejected")
 	}
 }
@@ -278,7 +283,7 @@ func TestShardAggregatePrefixedMatchesSerial(t *testing.T) {
 		mid := NewStream("mid", 1024)
 		out := NewStream("out", 4096)
 		chain := NewFusedChain("prefix", in, mid, stages(), core.Noop{})
-		a := NewAggregate("agg", mid, out, spec, core.Noop{})
+		a := newAggregate("agg", mid, out, spec, core.Noop{})
 		done := make(chan []core.Tuple)
 		go func() { done <- drain(t, out) }()
 		runOps(t, chain, a)
@@ -294,7 +299,7 @@ func TestShardAggregatePrefixedMatchesSerial(t *testing.T) {
 		// The prefix contains a Map, so the hoisted partitioner routes by a
 		// declared pre-prefix key (the map is key-preserving here).
 		prefix := &ShardPrefix{Name: "keep+double", Stages: stages(), Key: keyOf}
-		operators, err := ShardAggregatePrefixed("agg", in, out, spec, core.Noop{}, parallelism, 64, 1, prefix)
+		operators, err := ShardAggregateCfg("agg", in, out, spec, core.Noop{}, parallelism, 64, 1, ShardConfig{Agg: DeriveAggColSpec(spec), Prefix: prefix})
 		runShardSubgraph(t, operators, err)
 		got := drain(t, out)
 		if len(got) != len(serialOut) {
@@ -353,7 +358,7 @@ func TestShardJoinPrefixedMatchesSerial(t *testing.T) {
 		mid := NewStream("mid", 1024)
 		out := NewStream("out", 1<<14)
 		chain := NewFusedChain("evens", right, mid, rightStages(), core.Noop{})
-		j := NewJoin("join", left, mid, out, spec, core.Noop{})
+		j := newJoin("join", left, mid, out, spec, core.Noop{})
 		done := make(chan []core.Tuple)
 		go func() { done <- drain(t, out) }()
 		runOps(t, chain, j)
@@ -369,7 +374,7 @@ func TestShardJoinPrefixedMatchesSerial(t *testing.T) {
 		right := feed(buildSide(2)...)
 		out := NewStream("out", 1<<14)
 		prefix := &ShardPrefix{Name: "evens", Stages: rightStages()} // filter-only: route by RightKey
-		operators, err := ShardJoinPrefixed("join", left, right, out, spec, core.Noop{}, parallelism, 64, 1, nil, prefix)
+		operators, err := ShardJoinCfg("join", left, right, out, spec, core.Noop{}, parallelism, 64, 1, ShardJoinConfig{Join: DeriveJoinColSpec(spec), Right: prefix})
 		runShardSubgraph(t, operators, err)
 		got := render(drain(t, out))
 		if len(got) != len(want) {
@@ -388,12 +393,11 @@ func TestShardJoinPrefixedMatchesSerial(t *testing.T) {
 func TestShardPrefixValidation(t *testing.T) {
 	in, out := NewStream("in", 1), NewStream("out", 1)
 	aggSpec := AggregateSpec{WS: 1, WA: 1, Key: keyOf, Fold: sumFold}
-	if _, err := ShardAggregatePrefixed("a", in, out, aggSpec, core.Noop{}, 2, 0, 0,
-		&ShardPrefix{Name: "empty"}); err == nil {
+	if _, err := ShardAggregateCfg("a", in, out, aggSpec, core.Noop{}, 2, 0, 0, ShardConfig{Agg: DeriveAggColSpec(aggSpec), Prefix: &ShardPrefix{Name: "empty"}}); err == nil {
 		t.Fatal("a prefix without stages must be rejected")
 	}
-	if _, err := ShardAggregatePrefixed("a", in, out, aggSpec, core.Noop{}, 2, 0, 0,
-		&ShardPrefix{Name: "bad", Stages: []FusedStage{{Name: "m", Kind: StageMap}}}); err == nil {
+	if _, err := ShardAggregateCfg("a", in, out, aggSpec, core.Noop{}, 2, 0, 0, ShardConfig{Agg: DeriveAggColSpec(aggSpec),
+		Prefix: &ShardPrefix{Name: "bad", Stages: []FusedStage{{Name: "m", Kind: StageMap}}}}); err == nil {
 		t.Fatal("a prefix with an invalid stage must be rejected")
 	}
 	joinSpec := JoinSpec{
@@ -403,8 +407,7 @@ func TestShardPrefixValidation(t *testing.T) {
 		Predicate: func(l, r core.Tuple) bool { return true },
 		Combine:   func(l, r core.Tuple) core.Tuple { return nil },
 	}
-	if _, err := ShardJoinPrefixed("j", in, in, out, joinSpec, core.Noop{}, 2, 0, 0,
-		&ShardPrefix{Name: "empty"}, nil); err == nil {
+	if _, err := ShardJoinCfg("j", in, in, out, joinSpec, core.Noop{}, 2, 0, 0, ShardJoinConfig{Join: DeriveJoinColSpec(joinSpec), Left: &ShardPrefix{Name: "empty"}}); err == nil {
 		t.Fatal("a left prefix without stages must be rejected")
 	}
 }

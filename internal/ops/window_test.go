@@ -66,17 +66,3 @@ func TestWindowInvariantsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestWindowSlice(t *testing.T) {
-	buf := seq(0, 10, 6, "k") // ts 0,10,20,30,40,50
-	got := windowSlice(buf, 10, 40)
-	if !int64sEqual(timestamps(got), []int64{10, 20, 30}) {
-		t.Fatalf("windowSlice = %v", timestamps(got))
-	}
-	if windowSlice(buf, 60, 100) != nil {
-		t.Fatal("out-of-range window must be empty")
-	}
-	if windowSlice(nil, 0, 10) != nil {
-		t.Fatal("empty buffer must give empty window")
-	}
-}

@@ -31,8 +31,9 @@ type MUConfig struct {
 //
 // The Join is a pure equi-join of OrigID against SinkID, declared keyed and
 // columnar: the planner runs it as the hash-probed ops.ColJoin, so a record
-// costs a probe of its own ID's candidates, not a scan of the window (the
-// row Join under query.WithVectorize(false) produces the same stream).
+// costs a probe of its own ID's candidates, not a scan of the window. Under
+// query.WithVectorize(false) the same ColJoin probes the same candidates and
+// checks them with the row predicate, producing the same stream.
 //
 // derived and upstreams must produce *Record tuples (unfolded streams).
 // AddMU returns the node producing the MU's output stream.

@@ -348,8 +348,8 @@ func TestCollectorMatchesScanReference(t *testing.T) {
 }
 
 // TestMUJoinPlansHashProbed: the planner must run the MU's Join as the
-// hash-indexed columnar join by default, and as the row Join only when
-// vectorization is off.
+// hash-indexed columnar join on its declared spec by default, and on the
+// spec derived from its row predicate only when vectorization is off.
 func TestMUJoinPlansHashProbed(t *testing.T) {
 	for _, vectorize := range []bool{true, false} {
 		b := query.New("mu", query.WithVectorize(vectorize))

@@ -204,10 +204,16 @@ func (s *Server) ServeConn(rw io.ReadWriter) error {
 		if _, err := readU64(r); err != nil {
 			return fmt.Errorf("provstore: server: read horizon: %w", err)
 		}
+		// Register the instance before the handshake ack, so a Stats call
+		// the client makes after connecting already counts it.
+		inst := s.register()
 		if err := s.ack(w); err != nil {
+			s.mu.Lock()
+			delete(s.instWM, inst)
+			s.mu.Unlock()
 			return err
 		}
-		return s.serveIngest(r, w)
+		return s.serveIngest(r, w, inst)
 	case roleQuery:
 		if err := s.ack(w); err != nil {
 			return err
@@ -238,22 +244,25 @@ func (s *Server) nack(w *bufio.Writer, err error) {
 	w.Flush()
 }
 
+// register records a new ingest connection as an SPE instance. It starts at
+// watermark 0 — nothing of its stream is delivered yet — and pins the merged
+// view's MinWatermark there until its first watermark record.
+func (s *Server) register() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nextInst++
+	s.instWM[s.nextInst] = 0
+	return s.nextInst
+}
+
 // serveIngest merges one instance's record stream into the backend. srcMap
 // and sinkMap are the connection's ID namespace: every source and sink ID
 // the instance ships is remapped onto a fresh global sequential ID, and sink
 // records' source references are remapped through the same table — a
 // reference to a source this connection never shipped is a protocol error.
-func (s *Server) serveIngest(r *bufio.Reader, w *bufio.Writer) error {
+func (s *Server) serveIngest(r *bufio.Reader, w *bufio.Writer, inst int64) error {
 	srcMap := make(map[uint64]uint64)
 	sinkMap := make(map[uint64]uint64)
-	// Register the connection as an SPE instance. It starts at watermark 0 —
-	// nothing of this instance's stream is delivered yet — and pins the
-	// merged view's MinWatermark there until its first watermark record.
-	s.mu.Lock()
-	s.nextInst++
-	inst := s.nextInst
-	s.instWM[inst] = 0
-	s.mu.Unlock()
 	for {
 		kind, err := r.ReadByte()
 		if err == io.EOF {

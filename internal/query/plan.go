@@ -38,21 +38,27 @@ import (
 //     kernel-capable ColSpec (Filter/Map kernels plus a schema) execute as
 //     ops.ColChain operators over struct-of-arrays column batches instead of
 //     tuple-at-a-time closures; stateful nodes with a declared AggColSpec or
-//     JoinColSpec execute as ColAggregate/ColJoin — columnar window state
-//     with typed fold/probe kernels — serially or inside every shard lane,
-//     where an aggregate's hoisted prefix joins the columnar span when it is
-//     itself fully kernel-capable; and partitioners whose routing key has a
-//     declared Key kernel extract batch routing keys vectorized. This pass
-//     runs whenever WithVectorize is on — also with fusion off, where lone
-//     declared operators still vectorize individually.
+//     JoinColSpec run their typed fold/probe kernels over columnar window
+//     state, serially or inside every shard lane, where an aggregate's
+//     hoisted prefix joins the columnar span when it is itself fully
+//     kernel-capable; and partitioners whose routing key has a declared Key
+//     kernel extract batch routing keys vectorized. This pass runs whenever
+//     WithVectorize is on — also with fusion off, where lone declared
+//     operators still vectorize individually.
+//
+// Every stateful node materialises as ops.ColAggregate or ops.ColJoin,
+// whichever passes run: a node pass 3 did not select runs the spec ops
+// derives from its row closures (ops.DeriveAggColSpec/DeriveJoinColSpec),
+// and a hoisted aggregate prefix without kernels runs inside it as row
+// stages.
 //
 // Before the passes, the planner decides per Multiplex whether its branches
 // share the input object or receive linked copies (decideMultiplexClones).
 //
 // With fusion disabled every logical node materialises as its own operator,
-// the pre-planner behaviour; with vectorization disabled every segment keeps
-// the row path. All passes are purely physical: sink bytes and contribution
-// graphs never change.
+// the pre-planner behaviour; with vectorization disabled every operator runs
+// its row closures. All passes are purely physical: sink bytes and
+// contribution graphs never change.
 
 // physKind classifies a physical plan node.
 type physKind uint8
@@ -392,6 +398,9 @@ func (b *Builder) decideMultiplexClones(outE map[*Node][]edge) {
 	}
 }
 
+// stateful reports whether nodes of kind k keep window state.
+func (k NodeKind) stateful() bool { return k == KindAggregate || k == KindJoin }
+
 // kindDesc renders a logical node's kind for plan dumps, marking a
 // Multiplex that forwards the same object to every branch.
 func kindDesc(n *Node) string {
@@ -418,28 +427,15 @@ func colCapable(n *Node) bool {
 }
 
 // statefulColCapable reports whether a stateful logical node declares a
-// columnar spec its kind can execute (see AggColSpec/JoinColSpec). The checks
-// mirror the ops-level validation so the planner falls back to the row path
-// on an incomplete spec instead of panicking at materialisation.
+// columnar spec ops accepts for it (see AggColSpec/JoinColSpec), so the
+// planner falls back to the derived spec on an incomplete one instead of
+// panicking at materialisation.
 func statefulColCapable(n *Node) bool {
 	switch n.kind {
 	case KindAggregate:
-		c := n.aggCol
-		if c == nil || c.Schema == nil || c.Fold == nil {
-			return false
-		}
-		// A keyed spec needs the vectorized key; an unkeyed one must not
-		// declare it.
-		return (n.aggSpec.Key != nil) == (c.Key != nil)
+		return n.aggCol != nil && n.aggCol.ops().Validate(n.aggSpec) == nil
 	case KindJoin:
-		c := n.joinCol
-		if c == nil || n.joinSpec.LeftKey == nil || n.joinSpec.RightKey == nil {
-			return false
-		}
-		if (c.ResidualL != nil) != (c.ResidualR != nil) {
-			return false
-		}
-		return c.ResidualL == nil || (c.Left != nil && c.Right != nil)
+		return n.joinCol != nil && n.joinCol.ops().Validate(n.joinSpec) == nil
 	default:
 		return false
 	}
@@ -606,6 +602,26 @@ func colStagesFor(c []*Node) []ops.ColStage {
 		stages[i] = colStageFor(n)
 	}
 	return stages
+}
+
+// aggColSpec returns the columnar spec an Aggregate node runs on: its
+// declared one when pass 3 selected it, else the one ops derives from the
+// node's row closures.
+func (p *physNode) aggColSpec() ops.AggColSpec {
+	if p.vec {
+		return p.node.aggCol.ops()
+	}
+	return ops.DeriveAggColSpec(p.node.aggSpec)
+}
+
+// joinColSpec returns the columnar spec a Join node runs on: its declared
+// one when pass 3 selected it, else the one ops derives from the node's row
+// predicate.
+func (p *physNode) joinColSpec() ops.JoinColSpec {
+	if p.vec {
+		return p.node.joinCol.ops()
+	}
+	return ops.DeriveJoinColSpec(p.node.joinSpec)
 }
 
 // shardPrefixFor builds the ops.ShardPrefix for one hoisted chain (nil when

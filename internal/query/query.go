@@ -74,13 +74,14 @@ const (
 // materialised its input and output streams (in connection order).
 type CustomFactory func(ins, outs []*ops.Stream) (ops.Operator, error)
 
-// ColSpec declares a node's vectorized (columnar) execution capability: the
-// column schema its kernels read, plus the kernel matching the node's kind —
-// Filter for a Filter node, Map for a (strictly one-to-one) Map node, Key for
-// the group-by extraction of a shard-parallel Aggregate. A node without a
-// ColSpec (or with an incomplete one) simply keeps the row path; declaring
-// one never changes the sink-observable output or any contribution graph,
-// only how the planner executes the node (see WithVectorize).
+// ColSpec declares a stateless node's vectorized (columnar) execution
+// capability: the column schema its kernels read, plus the kernel matching
+// the node's kind — Filter for a Filter node, Map for a (strictly
+// one-to-one) Map node. A node without a ColSpec (or with an incomplete one)
+// simply keeps the row path; declaring one never changes the
+// sink-observable output or any contribution graph, only how the planner
+// executes the node (see WithVectorize). Stateful nodes declare an
+// AggColSpec or JoinColSpec instead.
 type ColSpec struct {
 	// Schema declares the typed columns the kernels read.
 	Schema *ops.ColSchema
@@ -90,14 +91,6 @@ type ColSpec struct {
 	// row function can emit zero or several tuples per input must not declare
 	// one.
 	Map ops.MapKernel
-	// Key is the vectorized group-by extraction of a keyed Aggregate node:
-	// the shard partitioner uses it to extract a whole batch's routing keys
-	// in one pass. It must compute exactly aggSpec.Key's value per tuple.
-	//
-	// Deprecated for aggregates: declare the whole AggColSpec with
-	// Node.ColumnarAgg instead, which vectorizes the window state and fold as
-	// well as the routing-key extraction.
-	Key ops.KeyKernel
 }
 
 // AggColSpec declares an Aggregate node's vectorized execution: columnar
@@ -106,8 +99,9 @@ type ColSpec struct {
 // output for every window, and Key (required iff the row spec has a group-by
 // Key) must compute exactly the row key per tuple — the shard partitioner
 // also uses it to extract whole batches' routing keys in one pass. A node
-// without a complete spec keeps the row path; declaring one never changes the
-// sink-observable output or any contribution graph.
+// without a complete spec runs the spec ops derives from its row closures
+// (ops.DeriveAggColSpec); declaring one never changes the sink-observable
+// output or any contribution graph.
 type AggColSpec struct {
 	// Schema declares the typed columns the window state buffers and the
 	// kernels read.
@@ -129,9 +123,9 @@ func (c *AggColSpec) ops() ops.AggColSpec {
 // key equality plus the optional residual the kernels compute. LeftKey and
 // RightKey, when declared with their schemas, additionally vectorize the
 // shard partitioners' routing-key extraction (they must compute exactly the
-// row LeftKey/RightKey per tuple). A node without a spec keeps the row path;
-// declaring one never changes the sink-observable output or any contribution
-// graph.
+// row LeftKey/RightKey per tuple). A node without a spec runs the spec ops
+// derives from its row predicate (ops.DeriveJoinColSpec); declaring one never
+// changes the sink-observable output or any contribution graph.
 type JoinColSpec struct {
 	// Left and Right declare the columns buffered per side; required only
 	// when the residual kernels (or the key kernels) read them.
@@ -376,18 +370,17 @@ func WithFusion(on bool) Option {
 	return func(b *Builder) { b.fusion = on }
 }
 
-// WithVectorize enables or disables the planner's columnar runtime selection
-// (default enabled): physical segments — fused chains and standalone
-// operators — whose every stage declares a kernel-capable ColSpec execute as
-// vectorized ops.ColChain operators over struct-of-arrays batches instead of
-// tuple-at-a-time closures; stateful nodes with a declared AggColSpec or
-// JoinColSpec keep their window state in typed columns and fold/probe it with
-// kernels (ops.ColAggregate/ColJoin), serially or inside every shard lane;
-// and shard partitioners whose routing key has a declared Key kernel extract
-// each batch's keys in one pass. Like fusion the
-// choice is purely physical: sink bytes and every contribution graph are
-// byte-identical either way. Vectorization is independent of WithFusion —
-// with fusion off, single declared operators still vectorize individually.
+// WithVectorize selects whether declared kernels run (default enabled):
+// fused chains and standalone operators whose every stage declares a
+// kernel-capable ColSpec run as ops.ColChain over struct-of-arrays batches;
+// stateful nodes with a declared AggColSpec or JoinColSpec fold/probe typed
+// window columns with their kernels, serially or in every shard lane; and
+// shard partitioners with a declared Key kernel extract a batch's keys in
+// one pass. Disabled, every operator runs its row closures: stateful nodes
+// run the same ops.ColAggregate/ColJoin on the spec derived from their row
+// closures (ops.DeriveAggColSpec/DeriveJoinColSpec). Like fusion the choice
+// is purely physical — sink bytes and every contribution graph are
+// byte-identical either way — and it is independent of WithFusion.
 func WithVectorize(on bool) Option {
 	return func(b *Builder) { b.vectorize = on }
 }
@@ -625,20 +618,14 @@ func (b *Builder) Build() (*Query, error) {
 				return nil, fmt.Errorf("query %q: node %q: %w", b.name, pn.node.name, err)
 			}
 			q.operators = append(q.operators, expanded...)
-		case pn.vec:
-			op, err := b.materialiseVectorized(pn, ins[pn], outs[pn], inPorts[pn])
-			if err != nil {
-				return nil, fmt.Errorf("query %q: node %q: %w", b.name, pn.name(), err)
-			}
-			q.operators = append(q.operators, op)
-		case pn.kind == physFused:
-			op, err := b.materialiseFused(pn, ins[pn], outs[pn])
+		case pn.kind == physFused, pn.vec && !pn.node.kind.stateful():
+			op, err := b.materialiseChain(pn, ins[pn], outs[pn])
 			if err != nil {
 				return nil, fmt.Errorf("query %q: node %q: %w", b.name, pn.name(), err)
 			}
 			q.operators = append(q.operators, op)
 		default:
-			op, err := b.materialise(pn.node, ins[pn], outs[pn], inPorts[pn])
+			op, err := b.materialise(pn, ins[pn], outs[pn], inPorts[pn])
 			if err != nil {
 				return nil, fmt.Errorf("query %q: node %q: %w", b.name, pn.node.name, err)
 			}
@@ -742,50 +729,25 @@ func (b *Builder) checkRegistered() error {
 	return nil
 }
 
-// materialiseFused builds the single operator of a fused stateless chain.
-func (b *Builder) materialiseFused(pn *physNode, in, out []*ops.Stream) (ops.Operator, error) {
+// materialiseChain builds the single operator of a stateless segment: a
+// ColChain when pass 3 vectorized it (a fused chain, or a lone declared
+// Map/Filter node), else the FusedChain of a fused chain.
+func (b *Builder) materialiseChain(pn *physNode, in, out []*ops.Stream) (ops.Operator, error) {
 	if len(in) != 1 || len(out) != 1 {
-		return nil, fmt.Errorf("fused chain needs 1 input and 1 output, has %d/%d", len(in), len(out))
+		return nil, fmt.Errorf("chain needs 1 input and 1 output, has %d/%d", len(in), len(out))
+	}
+	var seg *telemetry.SegStats
+	if b.qtel != nil {
+		seg = b.qtel.Segment(pn.name())
+	}
+	if pn.vec {
+		cc := ops.NewColChain(pn.name(), in[0], out[0], colStagesFor(pn.stageNodes()), b.instr)
+		cc.Seg = seg
+		return cc, nil
 	}
 	fc := ops.NewFusedChain(pn.name(), in[0], out[0], stagesFor(pn.chain), b.instr)
-	if b.qtel != nil {
-		fc.Seg = b.qtel.Segment(pn.name())
-	}
+	fc.Seg = seg
 	return fc, nil
-}
-
-// materialiseVectorized builds the columnar operator of a vectorized
-// segment: a ColChain for a fused chain whose every stage declared a
-// kernel-capable ColSpec (or a lone declared Map/Filter node), a
-// ColAggregate/ColJoin for a serial stateful node with a declared fold/probe
-// spec.
-func (b *Builder) materialiseVectorized(pn *physNode, in, out []*ops.Stream, ports map[string]*ops.Stream) (ops.Operator, error) {
-	if pn.kind == physSingle {
-		switch n := pn.node; n.kind {
-		case KindAggregate:
-			if len(in) != 1 || len(out) != 1 {
-				return nil, fmt.Errorf("%s needs 1 input and 1 output, has %d/%d", n.kind, len(in), len(out))
-			}
-			return ops.NewColAggregate(n.name, in[0], out[0], n.aggSpec, n.aggCol.ops(), nil, b.instr), nil
-		case KindJoin:
-			if len(in) != 2 || len(out) != 1 {
-				return nil, fmt.Errorf("%s needs 2 inputs and 1 output, has %d/%d", n.kind, len(in), len(out))
-			}
-			left, right := ports[PortLeft], ports[PortRight]
-			if left == nil || right == nil {
-				return nil, errors.New("join inputs must be connected with PortLeft and PortRight")
-			}
-			return ops.NewColJoin(n.name, left, right, out[0], n.joinSpec, n.joinCol.ops(), nil, nil, b.instr), nil
-		}
-	}
-	if len(in) != 1 || len(out) != 1 {
-		return nil, fmt.Errorf("vectorized chain needs 1 input and 1 output, has %d/%d", len(in), len(out))
-	}
-	cc := ops.NewColChain(pn.name(), in[0], out[0], colStagesFor(pn.stageNodes()), b.instr)
-	if b.qtel != nil {
-		cc.Seg = b.qtel.Segment(pn.name())
-	}
-	return cc, nil
 }
 
 // materialiseShard expands a node with Parallelism > 1 into its shard
@@ -798,19 +760,15 @@ func (b *Builder) materialiseShard(pn *physNode, in, out []*ops.Stream, ports ma
 		if len(in) != 1 || len(out) != 1 {
 			return nil, fmt.Errorf("%s needs 1 input and 1 output, has %d/%d", n.kind, len(in), len(out))
 		}
-		cfg := ops.ShardConfig{Prefix: pn.shardPrefixFor(PortDefault), Suffix: pn.shardSuffix()}
+		cfg := ops.ShardConfig{Agg: pn.aggColSpec(), Prefix: pn.shardPrefixFor(PortDefault), Suffix: pn.shardSuffix()}
 		if b.qtel != nil || b.adaptMax > 0 {
 			cfg.Observe = b.observeShardStream
 		}
 		if b.vectorize {
 			cfg.ColKey = colKeyFor(n, cfg.Prefix)
 		}
-		if pn.vec {
-			spec := n.aggCol.ops()
-			cfg.Agg = &spec
-			if c := pn.prefix[PortDefault]; len(c) > 0 {
-				cfg.VecPrefix = colStagesFor(c)
-			}
+		if c := pn.prefix[PortDefault]; pn.vec && len(c) > 0 {
+			cfg.VecPrefix = colStagesFor(c)
 		}
 		return ops.ShardAggregateCfg(n.name, in[0], out[0], n.aggSpec, b.instr,
 			n.Parallelism, b.chanCap, b.batchSize, cfg)
@@ -823,6 +781,7 @@ func (b *Builder) materialiseShard(pn *physNode, in, out []*ops.Stream, ports ma
 			return nil, errors.New("join inputs must be connected with PortLeft and PortRight")
 		}
 		cfg := ops.ShardJoinConfig{
+			Join:   pn.joinColSpec(),
 			Left:   pn.shardPrefixFor(PortLeft),
 			Right:  pn.shardPrefixFor(PortRight),
 			Suffix: pn.shardSuffix(),
@@ -833,10 +792,6 @@ func (b *Builder) materialiseShard(pn *physNode, in, out []*ops.Stream, ports ma
 		if b.vectorize {
 			cfg.LeftColKey, cfg.RightColKey = joinColKeysFor(n, cfg.Left, cfg.Right)
 		}
-		if pn.vec {
-			spec := n.joinCol.ops()
-			cfg.Join = &spec
-		}
 		return ops.ShardJoinCfg(n.name, left, right, out[0], n.joinSpec, b.instr,
 			n.Parallelism, b.chanCap, b.batchSize, cfg)
 	default:
@@ -845,9 +800,9 @@ func (b *Builder) materialiseShard(pn *physNode, in, out []*ops.Stream, ports ma
 }
 
 // colKeyFor returns the vectorized routing-key extraction of a sharded
-// aggregate: the node's declared Key kernel, usable only when the partitioner
-// routes by the aggregate's own key function (no head-declared ShardKey
-// overriding it).
+// aggregate: the Key kernel of its declared AggColSpec, usable only when the
+// partitioner routes by the aggregate's own key function (no head-declared
+// ShardKey overriding it).
 func colKeyFor(n *Node, prefix *ops.ShardPrefix) *ops.ColKey {
 	if prefix != nil && prefix.Key != nil {
 		return nil
@@ -855,10 +810,7 @@ func colKeyFor(n *Node, prefix *ops.ShardPrefix) *ops.ColKey {
 	if c := n.aggCol; c != nil && c.Key != nil && c.Schema != nil {
 		return &ops.ColKey{Schema: c.Schema, Kernel: c.Key}
 	}
-	if n.colSpec == nil || n.colSpec.Key == nil || n.colSpec.Schema == nil {
-		return nil
-	}
-	return &ops.ColKey{Schema: n.colSpec.Schema, Kernel: n.colSpec.Key}
+	return nil
 }
 
 // joinColKeysFor returns the vectorized per-side routing-key extractions of a
@@ -962,7 +914,8 @@ func (b *Builder) ProvenanceHorizon() int64 {
 	return 2 * max
 }
 
-func (b *Builder) materialise(n *Node, in, out []*ops.Stream, ports map[string]*ops.Stream) (ops.Operator, error) {
+func (b *Builder) materialise(pn *physNode, in, out []*ops.Stream, ports map[string]*ops.Stream) (ops.Operator, error) {
+	n := pn.node
 	need := func(nIn, nOut int) error {
 		if nIn >= 0 && len(in) != nIn {
 			return fmt.Errorf("%s needs %d input(s), has %d", n.kind, nIn, len(in))
@@ -1021,7 +974,7 @@ func (b *Builder) materialise(n *Node, in, out []*ops.Stream, ports map[string]*
 		if err := need(1, 1); err != nil {
 			return nil, err
 		}
-		return ops.NewAggregate(n.name, in[0], out[0], n.aggSpec, b.instr), nil
+		return ops.NewColAggregate(n.name, in[0], out[0], n.aggSpec, pn.aggColSpec(), nil, nil, b.instr), nil
 	case KindJoin:
 		if err := need(2, 1); err != nil {
 			return nil, err
@@ -1030,7 +983,7 @@ func (b *Builder) materialise(n *Node, in, out []*ops.Stream, ports map[string]*
 		if left == nil || right == nil {
 			return nil, errors.New("join inputs must be connected with PortLeft and PortRight")
 		}
-		return ops.NewJoin(n.name, left, right, out[0], n.joinSpec, b.instr), nil
+		return ops.NewColJoin(n.name, left, right, out[0], n.joinSpec, pn.joinColSpec(), nil, nil, b.instr), nil
 	case KindCustom:
 		if err := need(n.nIn, n.nOut); err != nil {
 			return nil, err
