@@ -1088,7 +1088,7 @@ func BenchmarkCodecComparison(b *testing.B) {
 	report.SetID(42)
 	report.SetKind(core.KindSource)
 	rec := &provenance.Record{
-		Base:     core.NewBase(9),
+		Ts:       9,
 		SinkID:   7,
 		OrigID:   42,
 		OrigTs:   1,

@@ -262,7 +262,7 @@ func TestRecordStreamCompatibility(t *testing.T) {
 	c := &provenance.Collector{OnResult: func(r provenance.Result) { results = append(results, r) }}
 	for _, src := range (Resolver{Store: st}).Resolve(sink) {
 		err := c.Add(&provenance.Record{
-			Base:   core.NewBase(sink.Timestamp()),
+			Ts:     sink.Timestamp(),
 			SinkID: core.MetaOf(sink).ID(),
 			Sink:   sink,
 			Orig:   src,

@@ -1,6 +1,9 @@
 package core
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Instrumenter is the strategy the stream operators delegate provenance side
 // effects to. One operator implementation serves the paper's three
@@ -154,13 +157,21 @@ func (g *Genealog) OnJoin(out, newer, older Tuple) {
 
 // OnAggregateLink implements Instrumenter: prev.N := cur, written exactly
 // once per tuple (the guard keeps the write idempotent when a tuple is
-// re-linked by overlapping windows).
+// re-linked by overlapping windows). Under SetStrict, an N that already
+// holds a different object panics: two Aggregates buffer the object, which
+// the planner's clone decision exists to prevent.
 func (g *Genealog) OnAggregateLink(prev, cur Tuple) {
 	if prev == nil {
 		return
 	}
 	m := MetaOf(prev)
-	if m == nil || m.Next() != nil {
+	if m == nil {
+		return
+	}
+	if n := m.Next(); n != nil {
+		if n != cur && strict.Load() {
+			panic(fmt.Sprintf("core: strict: %T already links N to a %T, second writer links it to a %T", prev, n, cur))
+		}
 		return
 	}
 	m.SetNext(cur)
@@ -184,16 +195,33 @@ func (g *Genealog) OnAggregateEmit(out Tuple, window []Tuple) {
 // OnSend implements Instrumenter. Following §4.1, tuples that are not of
 // type SOURCE become REMOTE on the receiving side; the sender only has to
 // guarantee the tuple carries an ID so the multi-stream unfolder can match
-// it across the serialisation boundary.
+// it across the serialisation boundary. It writes only a zero ID: every
+// instrumented creator already draws one inter-process, so a Send sharing
+// its input object with a sibling branch reads it and never writes it.
+// Under SetStrict, a zero ID panics instead of being assigned.
 func (g *Genealog) OnSend(t Tuple) {
 	m := MetaOf(t)
 	if m == nil {
 		return
 	}
 	if m.ID() == 0 && g.IDs != nil {
+		if strict.Load() {
+			panic(fmt.Sprintf("core: strict: a %T reached Send without an ID", t))
+		}
 		m.SetID(g.IDs.Next())
 	}
 }
+
+// strict turns GL's single-writer checks on (see SetStrict).
+var strict atomic.Bool
+
+// SetStrict turns GL's single-writer checks on or off and returns the
+// previous setting. It exists for tests: with it on, Genealog panics where
+// a planner mistake would otherwise go unnoticed — an OnAggregateLink that
+// finds N already holding a different object (two Aggregates buffer one
+// object, and the second silently loses its chain), and an OnSend that
+// would have to assign an ID (a write to an object the Send may share).
+func SetStrict(on bool) bool { return strict.Swap(on) }
 
 // OnReceive implements Instrumenter: a reconstructed tuple keeps kind SOURCE
 // if it was a source tuple, and becomes REMOTE otherwise (§4.1, Send).

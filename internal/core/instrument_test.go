@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -262,5 +263,53 @@ func TestKindString(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, got, want)
 		}
+	}
+}
+
+// mustPanic runs f and returns the panic message, failing if f returns.
+func mustPanic(t *testing.T, f func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("no panic")
+		}
+		msg, _ = r.(string)
+	}()
+	f()
+	return ""
+}
+
+// TestStrictSingleWriterChecks: with SetStrict on, a second, different N
+// and an ID OnSend would have to draw both panic; relinking the same N, an
+// ID drawn at creation and a Send without an ID generator do not.
+func TestStrictSingleWriterChecks(t *testing.T) {
+	was := SetStrict(true)
+	defer SetStrict(was)
+	g := &Genealog{IDs: NewIDGen(1)}
+	prev, cur := newLabel("prev", 1), newLabel("cur", 2)
+	g.OnAggregateLink(prev, cur)
+	g.OnAggregateLink(prev, cur) // the same object again: an overlapping window
+	msg := mustPanic(t, func() { g.OnAggregateLink(prev, newLabel("other", 2)) })
+	if !strings.Contains(msg, "*core.labelTuple already links N to a *core.labelTuple") {
+		t.Fatalf("panic %q does not name both tuple types", msg)
+	}
+	if prev.Next() != cur {
+		t.Fatal("a refused second writer must leave N alone")
+	}
+
+	sent := newLabel("sent", 1)
+	g.OnSource(sent)
+	g.OnSend(sent)
+	mustPanic(t, func() { g.OnSend(newLabel("unnumbered", 1)) })
+	(&Genealog{}).OnSend(newLabel("intra", 1))
+
+	SetStrict(false)
+	other := newLabel("other", 2)
+	g.OnAggregateLink(prev, other)
+	unnumbered := newLabel("unnumbered", 1)
+	g.OnSend(unnumbered)
+	if prev.Next() != cur || unnumbered.ID() == 0 {
+		t.Fatal("with strict checks off, a second N is skipped and a missing ID drawn")
 	}
 }

@@ -19,14 +19,28 @@ const scanLimit = 32
 // treated as its own originating tuple so that traversal degrades gracefully
 // when provenance capture is off.
 func FindProvenance(root Tuple) []Tuple {
-	if root == nil {
+	// The result starts on the stack and is copied out once at the end.
+	var resBuf [scanLimit]Tuple
+	result := AppendProvenance(resBuf[:0], root)
+	if len(result) == 0 {
 		return nil
 	}
-	// Both buffers start on the stack: result is copied out once at the
-	// end, and every tuple ever enqueued stays in queue (head walks it), so
-	// queue is the visited set until visited takes over past scanLimit.
-	var resBuf, queueBuf [scanLimit]Tuple
-	result := resBuf[:0]
+	return append([]Tuple(nil), result...)
+}
+
+// AppendProvenance appends root's originating tuples to dst, in
+// FindProvenance's order, and returns the extended slice. A caller that
+// consumes the tuples before its next traversal can hand in a buffer of its
+// own and so allocate nothing below scanLimit tuples.
+func AppendProvenance(dst []Tuple, root Tuple) []Tuple {
+	if root == nil {
+		return dst
+	}
+	// The queue starts on the stack. Every tuple ever enqueued stays in it
+	// (head walks it), so the queue is the visited set until visited takes
+	// over past scanLimit.
+	var queueBuf [scanLimit]Tuple
+	result := dst
 	queue := append(queueBuf[:0], root)
 	var visited map[Tuple]struct{}
 
@@ -90,10 +104,7 @@ func FindProvenance(root Tuple) []Tuple {
 			enqueue(m.U1())
 		}
 	}
-	if len(result) == 0 {
-		return nil
-	}
-	return append([]Tuple(nil), result...)
+	return result
 }
 
 // CountProvenance returns the number of originating tuples of root without

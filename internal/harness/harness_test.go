@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"genealog/internal/clickstream"
+	"genealog/internal/core"
 	"genealog/internal/linearroad"
 	"genealog/internal/provenance"
 	"genealog/internal/smartgrid"
@@ -150,6 +152,69 @@ func TestModesAgreeShardedBatched(t *testing.T) {
 			o.Query, o.Deployment = Q4, d
 			o.Parallelism, o.BatchSize = 4, 64
 			checkModesAgree(t, o)
+		})
+	}
+}
+
+// strictChecks turns GL's single-writer checks on for the rest of the test
+// (see core.SetStrict).
+func strictChecks(t *testing.T) {
+	was := core.SetStrict(true)
+	t.Cleanup(func() { core.SetStrict(was) })
+}
+
+// TestInterGridStrict runs the inter-process grid (Q1–Q5 × batch 1/64 ×
+// parallelism 1/4, NP, GL and BL each) with GL's strict single-writer
+// checks on. Every Send and the su1 Multiplexes in front of them share their
+// objects with the SU's unfold branch: a Send that wrote an ID, or an N
+// written twice, panics, and under -race a write to a shared object races
+// with the sibling branch's reads. GL's contribution sets must equal BL's,
+// and must not change with the batch size or the parallelism.
+func TestInterGridStrict(t *testing.T) {
+	strictChecks(t)
+	for _, q := range Queries {
+		var ref string
+		for _, batch := range []int{1, 64} {
+			for _, par := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/b%d/p%d", q, batch, par), func(t *testing.T) {
+					o := testOptions()
+					o.Query, o.Deployment = q, Inter
+					o.BatchSize, o.Parallelism = batch, par
+					checkModesAgree(t, o)
+					o.Mode = ModeGL
+					_, digest := runDigest(t, o)
+					if ref == "" {
+						ref = digest
+					} else if digest != ref {
+						t.Fatalf("GL provenance at batch %d, parallelism %d differs from batch 1, parallelism 1", batch, par)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRemoteOriginPayloadNotShipped: the binary codec ships a REMOTE
+// origin's ID but not its payload, since the MU replaces every REMOTE
+// origin with an upstream record's. On Q1–Q5 the collector's results, sink
+// and sources payload for payload, equal those of the gob codec, which
+// ships the payload, and of the intra-process deployment.
+func TestRemoteOriginPayloadNotShipped(t *testing.T) {
+	for _, q := range Queries {
+		t.Run(string(q), func(t *testing.T) {
+			o := testOptions()
+			o.Query, o.Mode, o.Deployment = q, ModeGL, Intra
+			_, intra := runDigest(t, o)
+			o.Deployment = Inter
+			_, binary := runDigest(t, o)
+			o.UseGobCodec = true
+			_, gob := runDigest(t, o)
+			if intra == "" {
+				t.Fatal("no provenance results")
+			}
+			if binary != gob || binary != intra {
+				t.Fatalf("results differ:\n--- binary ---\n%s\n--- gob ---\n%s\n--- intra ---\n%s", binary, gob, intra)
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -481,5 +482,30 @@ func TestHarnessExplain(t *testing.T) {
 	}
 	if got := strings.Count(info.Text, "physical plan"); got != 3 {
 		t.Fatalf("inter-process GL Explain lists %d plans, want 3 (SPE1-3):\n%s", got, info.Text)
+	}
+}
+
+// TestExplainInterSharesSUMux: under GL inter-process, every su1 Multiplex
+// feeds a Send and the SU's unfold, whose records a second Send ships. Both
+// Sends only read, so the Multiplex shares its object with both branches
+// instead of cloning every delivering tuple.
+func TestExplainInterSharesSUMux(t *testing.T) {
+	for _, q := range Queries {
+		o := parallelTestOptions(q, ModeGL, 1)
+		o.Deployment = Inter
+		info, err := Explain(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links, err := MainLinkCount(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < links; i++ {
+			mux := regexp.MustCompile(fmt.Sprintf(`su1-%d\.mux\s+(.*)`, i)).FindStringSubmatch(info.Text)
+			if mux == nil || mux[1] != "multiplex shared" {
+				t.Fatalf("%s: su1-%d.mux is %v, want multiplex shared:\n%s", q, i, mux, info.Text)
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"strconv"
 	"testing"
@@ -19,6 +20,14 @@ import (
 	"genealog/internal/provenance"
 	"genealog/internal/query"
 )
+
+// TestMain runs every random topology with GL's strict single-writer checks
+// on: a plan that lets two operators write one object's N, or a Send that
+// would draw an ID, panics instead of silently losing provenance.
+func TestMain(m *testing.M) {
+	core.SetStrict(true)
+	os.Exit(m.Run())
+}
 
 type rTuple struct {
 	core.Base

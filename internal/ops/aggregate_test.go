@@ -367,6 +367,63 @@ func TestAggregateBruteForceProperty(t *testing.T) {
 	}
 }
 
+// TestAggregateFoldsOnlyTheClosingWindow pins the invariant emitDue's upper
+// bound rests on: a window closes before any tuple at or past its end is
+// buffered, so the segment a fold receives, which runs to its group's last
+// buffered row, holds no row outside [start, end). It covers declared and
+// derived specs, keyed and unkeyed, tumbling and sliding windows,
+// interleaved heartbeats, end-of-stream flushes and batches 1/7/64.
+func TestAggregateFoldsOnlyTheClosingWindow(t *testing.T) {
+	check := func(ts []int64, start, end int64) {
+		for _, x := range ts {
+			if x < start || x >= end {
+				t.Errorf("window [%d, %d) folds a row at %d", start, end, x)
+				return
+			}
+		}
+	}
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ws := int64(1 + rng.Intn(12))
+		wa := int64(1 + rng.Intn(int(ws)))
+		if seed%2 == 0 {
+			wa = ws
+		}
+		for _, keyed := range []bool{false, true} {
+			for _, batch := range []int{1, 7, 64} {
+				for _, declared := range []bool{false, true} {
+					spec := AggregateSpec{WS: ws, WA: wa, Fold: func(w []core.Tuple, start, end int64, key string) core.Tuple {
+						ts := make([]int64, len(w))
+						for i, r := range w {
+							ts[i] = r.Timestamp()
+						}
+						check(ts, start, end)
+						return sumFold(w, start, end, key)
+					}}
+					col := AggColSpec{Schema: vSchema(), Fold: func(seg *ColSeg, start, end int64, key string) core.Tuple {
+						check(seg.Timestamps(), start, end)
+						return vecSumFold(seg, start, end, key)
+					}}
+					if keyed {
+						spec.Key, col.Key = keyOf, vecKeyKernel
+					}
+					if !declared {
+						col = DeriveAggColSpec(spec)
+					}
+					out := NewStream("out", 0)
+					a := NewColAggregate("a", feedBatched(batch, aggInput(200, []string{"a", "b", "c"}, seed)...), out, spec, col, nil, nil, &core.Genealog{})
+					done := make(chan []core.Tuple)
+					go func() { done <- drain(t, out) }()
+					runOps(t, a)
+					if len(<-done) == 0 {
+						t.Fatal("the aggregate emitted nothing")
+					}
+				}
+			}
+		}
+	}
+}
+
 // checkOracle asserts the aggregate's outputs match the oracle's windows one
 // for one, in order.
 func checkOracle(t *testing.T, got []core.Tuple, want []oracleWindow, ws int64, policy OutputTsPolicy) {

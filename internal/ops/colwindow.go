@@ -647,8 +647,10 @@ func (a *ColAggregate) emitDue(ctx context.Context) error {
 	for _, key := range a.keyOrder {
 		g := a.groups[key]
 		ts := g.liveTs()
-		lo := sort.Search(len(ts), func(i int) bool { return ts[i] >= start })
-		hi := sort.Search(len(ts), func(i int) bool { return ts[i] >= end })
+		// A window closes before any tuple at or past its end is buffered
+		// (ingest closes due windows before it appends), so the window runs
+		// to the group's last row.
+		lo, hi := sort.Search(len(ts), func(i int) bool { return ts[i] >= start }), len(ts)
 		if lo >= hi {
 			continue
 		}

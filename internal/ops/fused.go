@@ -232,6 +232,10 @@ func newStageApplier(stages []FusedStage, instr core.Instrumenter, deliver func(
 		case StageMultiplex:
 			name := st.Name
 			apply = func(t core.Tuple) {
+				if core.MetaOf(t) == nil {
+					next(t) // nothing to keep single-writer, as in Multiplex
+					return
+				}
 				c, ok := t.(core.Cloneable)
 				if !ok {
 					if a.err == nil {

@@ -195,6 +195,31 @@ func TestFusedChainNotCloneable(t *testing.T) {
 	}
 }
 
+// plainTuple carries no meta-attributes.
+type plainTuple struct{ ts int64 }
+
+func (p *plainTuple) Timestamp() int64 { return p.ts }
+
+// TestCloningMultiplexForwardsMetaLess: a tuple without meta-attributes has
+// no N to keep single-writer, so a cloning Multiplex, standalone or fused,
+// forwards the object itself to every branch rather than failing.
+func TestCloningMultiplexForwardsMetaLess(t *testing.T) {
+	src := &plainTuple{ts: 1}
+	o1, o2 := NewStream("o1", 8), NewStream("o2", 8)
+	runOps(t, NewMultiplex("x", feed(src), []*Stream{o1, o2}, &core.Genealog{}, true))
+	if g1, g2 := drain(t, o1), drain(t, o2); len(g1) != 1 || g1[0] != core.Tuple(src) || len(g2) != 1 || g2[0] != core.Tuple(src) {
+		t.Fatalf("Multiplex forwarded %v and %v, want the tuple itself", g1, g2)
+	}
+	o := NewStream("out", 0)
+	fc := NewFusedChain("fused", feed(src), o, []FusedStage{{Name: "mux", Kind: StageMultiplex}}, &core.Genealog{})
+	done := make(chan []core.Tuple)
+	go func() { done <- drain(t, o) }()
+	runOps(t, fc)
+	if got := <-done; len(got) != 1 || got[0] != core.Tuple(src) {
+		t.Fatalf("fused Multiplex stage forwarded %v, want the tuple itself", got)
+	}
+}
+
 // TestFusedChainMultiEmitAndPass: Map stages emitting several tuples push
 // each through the rest of the chain; pass stages are transparent.
 func TestFusedChainMultiEmitAndPass(t *testing.T) {

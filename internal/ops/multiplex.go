@@ -9,7 +9,7 @@ import (
 )
 
 // ErrNotCloneable is returned when a cloning Multiplex receives a tuple that
-// does not implement core.Cloneable.
+// carries meta-attributes but does not implement core.Cloneable.
 var ErrNotCloneable = errors.New("multiplex: tuple does not implement core.Cloneable")
 
 // Multiplex copies each input tuple to every output stream (paper §2). A
@@ -18,7 +18,8 @@ var ErrNotCloneable = errors.New("multiplex: tuple does not implement core.Clone
 // the same tuple object to every branch. The query planner decides which,
 // per Multiplex: NP always shares, BL always clones, and GL clones only
 // where two branches could write the N chain of the same object (see
-// core.Instrumenter.NeedsMultiplexClone).
+// core.Instrumenter.NeedsMultiplexClone). A cloning Multiplex still forwards
+// a tuple without meta-attributes (core.MetaOf is nil) unchanged.
 type Multiplex struct {
 	name  string
 	in    *Stream
@@ -58,7 +59,9 @@ func (x *Multiplex) Run(ctx context.Context) error {
 					// Each branch gets its own marker: a shared one could be
 					// mutated concurrently by the branches' instrumenters.
 					branch = core.NewHeartbeat(t.Timestamp())
-				case x.clone:
+				case x.clone && core.MetaOf(t) != nil:
+					// A meta-less tuple has no N to keep single-writer, so
+					// every branch takes it as it is.
 					c, ok := t.(core.Cloneable)
 					if !ok {
 						return fmt.Errorf("multiplex %q: %w (%T)", x.name, ErrNotCloneable, t)

@@ -79,9 +79,11 @@ type Stream struct {
 	nextCap int
 
 	// free recycles drained batch backing arrays from the consumer back to
-	// the producer (synchronised by the channel itself), so steady-state
-	// transport allocates nothing per batch — and, at batch size 1, nothing
-	// per tuple, matching the pre-batching chan-of-tuples transport.
+	// the producer (synchronised by the channel itself), so a transport
+	// whose consumer keeps pace allocates nothing per batch. The list holds
+	// only a few batches: when a consumer drains a backlog it runs dry, and
+	// the producer then allocates a fresh batch per flush — per tuple at
+	// batch size 1.
 	free chan Batch
 
 	// rq is the consumer-side dequeued batch being drained by Recv; owned by

@@ -64,10 +64,12 @@ func AddMU(b *query.Builder, name string, derived *query.Node, upstreams []*quer
 		},
 		LeftKey:  func(t core.Tuple) string { return idKey(t.(*Record).OrigID) },
 		RightKey: func(t core.Tuple) string { return idKey(t.(*Record).SinkID) },
+		// The match takes the later of the two records' event times, the
+		// time ColJoin gives a result that carries meta-attributes.
 		Combine: func(l, r core.Tuple) core.Tuple {
 			d, u := l.(*Record), r.(*Record)
 			return &Record{
-				Base:     core.NewBase(d.Timestamp()),
+				Ts:       max(d.Ts, u.Ts),
 				SinkID:   d.SinkID,
 				Sink:     d.Sink,
 				OrigID:   u.OrigID,

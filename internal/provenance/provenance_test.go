@@ -157,19 +157,19 @@ func TestSUTraversalObserver(t *testing.T) {
 	}
 }
 
-func TestRecordCloneTuple(t *testing.T) {
-	orig := ev(1, "s", 1)
-	r := &Record{Base: core.NewBase(5), SinkID: 9, OrigID: 3, OrigTs: 1, OrigKind: core.KindSource, Sink: ev(5, "k", 0), Orig: orig}
-	r.SetKind(core.KindMap)
-	cp := r.CloneTuple().(*Record)
-	if cp == r {
-		t.Fatal("clone must be a new object")
+// TestRecordIsPlainData: an unfolded record carries no meta-attributes, so
+// every GeneaLog hook skips it and a cloning Multiplex forwards it as it is
+// (ops' TestCloningMultiplexForwardsMetaLess).
+func TestRecordIsPlainData(t *testing.T) {
+	var rec core.Tuple = &Record{Ts: 5, SinkID: 9, OrigID: 3, OrigTs: 1, OrigKind: core.KindSource, Sink: ev(5, "k", 0), Orig: ev(1, "s", 1)}
+	if _, ok := rec.(core.Traceable); ok {
+		t.Fatal("Record must not be core.Traceable")
 	}
-	if cp.Kind() != core.KindNone {
-		t.Fatal("clone must reset provenance meta")
+	if _, ok := rec.(core.Cloneable); ok {
+		t.Fatal("Record must not be core.Cloneable")
 	}
-	if cp.SinkID != 9 || cp.OrigID != 3 || cp.Orig != core.Tuple(orig) {
-		t.Fatal("clone must keep the record payload")
+	if core.MetaOf(rec) != nil || rec.Timestamp() != 5 {
+		t.Fatalf("MetaOf = %v, Timestamp = %d; want nil, 5", core.MetaOf(rec), rec.Timestamp())
 	}
 }
 
@@ -178,9 +178,9 @@ func TestCollectorDeduplicatesByOrigKey(t *testing.T) {
 	c := &Collector{OnResult: func(r Result) { results = append(results, r) }}
 	sink := ev(10, "sink", 0)
 	s1, s2 := ev(1, "a", 0), ev(2, "b", 0)
-	mustAdd(t, c, &Record{Base: core.NewBase(10), SinkID: 100, OrigID: 1, Sink: sink, Orig: s1})
-	mustAdd(t, c, &Record{Base: core.NewBase(10), SinkID: 100, OrigID: 2, Sink: sink, Orig: s2})
-	mustAdd(t, c, &Record{Base: core.NewBase(10), SinkID: 100, OrigID: 1, Sink: sink, Orig: s1}) // dup
+	mustAdd(t, c, &Record{Ts: 10, SinkID: 100, OrigID: 1, Sink: sink, Orig: s1})
+	mustAdd(t, c, &Record{Ts: 10, SinkID: 100, OrigID: 2, Sink: sink, Orig: s2})
+	mustAdd(t, c, &Record{Ts: 10, SinkID: 100, OrigID: 1, Sink: sink, Orig: s1}) // dup
 	mustFlush(t, c)
 	if len(results) != 1 {
 		t.Fatalf("got %d results, want 1", len(results))
@@ -194,9 +194,9 @@ func TestCollectorGroupsInterleavedSinks(t *testing.T) {
 	var results []Result
 	c := &Collector{OnResult: func(r Result) { results = append(results, r) }, Horizon: 100}
 	sa, sb := ev(10, "a", 0), ev(11, "b", 0)
-	mustAdd(t, c, &Record{Base: core.NewBase(10), SinkID: 1, OrigID: 11, Sink: sa, Orig: ev(1, "x", 0)})
-	mustAdd(t, c, &Record{Base: core.NewBase(11), SinkID: 2, OrigID: 21, Sink: sb, Orig: ev(2, "y", 0)})
-	mustAdd(t, c, &Record{Base: core.NewBase(10), SinkID: 1, OrigID: 12, Sink: sa, Orig: ev(3, "z", 0)})
+	mustAdd(t, c, &Record{Ts: 10, SinkID: 1, OrigID: 11, Sink: sa, Orig: ev(1, "x", 0)})
+	mustAdd(t, c, &Record{Ts: 11, SinkID: 2, OrigID: 21, Sink: sb, Orig: ev(2, "y", 0)})
+	mustAdd(t, c, &Record{Ts: 10, SinkID: 1, OrigID: 12, Sink: sa, Orig: ev(3, "z", 0)})
 	mustFlush(t, c)
 	if len(results) != 2 {
 		t.Fatalf("got %d results, want 2", len(results))
@@ -209,12 +209,12 @@ func TestCollectorGroupsInterleavedSinks(t *testing.T) {
 func TestCollectorHorizonFlushes(t *testing.T) {
 	var results []Result
 	c := &Collector{OnResult: func(r Result) { results = append(results, r) }, Horizon: 5}
-	mustAdd(t, c, &Record{Base: core.NewBase(0), SinkID: 1, OrigID: 1, Sink: ev(0, "a", 0), Orig: ev(0, "x", 0)})
+	mustAdd(t, c, &Record{Ts: 0, SinkID: 1, OrigID: 1, Sink: ev(0, "a", 0), Orig: ev(0, "x", 0)})
 	if len(results) != 0 {
 		t.Fatal("group must not flush before the horizon")
 	}
 	// Watermark 10 passes 0+5: the first group must flush.
-	mustAdd(t, c, &Record{Base: core.NewBase(10), SinkID: 2, OrigID: 2, Sink: ev(10, "b", 0), Orig: ev(9, "y", 0)})
+	mustAdd(t, c, &Record{Ts: 10, SinkID: 2, OrigID: 2, Sink: ev(10, "b", 0), Orig: ev(9, "y", 0)})
 	if len(results) != 1 {
 		t.Fatalf("got %d results after horizon, want 1", len(results))
 	}

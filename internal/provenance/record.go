@@ -14,12 +14,22 @@ import (
 // The record's own event time is the delivering tuple's, keeping unfolded
 // streams timestamp-sorted.
 //
+// A Record is plain data: ⟨ts, sink, origin⟩ plus the IDs the MU matches
+// on, and no meta-attributes. It is neither core.Traceable nor
+// core.Cloneable, so core.MetaOf returns nil for it and every GeneaLog hook
+// on the operators carrying unfolded streams (the SU's unfold Map, the MU's
+// Join, Send and Receive) returns at once: nothing ever traverses a
+// record's own contribution graph, so none is built, and no ID is drawn
+// for it. A cloning Multiplex forwards it unchanged.
+//
 // SinkID and OrigID carry the ID meta-attributes used by the inter-process
 // algorithm (t'.IDO in Def. 6.2 is OrigID; the MU matches it against
 // upstream records' SinkID). They are zero in intra-process deployments,
 // where the Sink and Orig references suffice.
 type Record struct {
-	core.Base
+	// Ts is the record's event time: the delivering tuple's, or, for an MU
+	// match, the later of the derived and the upstream record's.
+	Ts int64
 	// SinkID is the delivering tuple's unique ID (0 intra-process).
 	SinkID uint64
 	// OrigID is the originating tuple's unique ID (t'.IDO; 0 intra-process).
@@ -32,20 +42,13 @@ type Record struct {
 	OrigKind core.Kind
 	// Sink is the delivering tuple.
 	Sink core.Tuple
-	// Orig is the originating tuple.
+	// Orig is the originating tuple. A REMOTE origin does not cross the
+	// binary wire (the MU replaces it), so it is nil on a decoded record.
 	Orig core.Tuple
 }
 
-var _ core.Traceable = (*Record)(nil)
-var _ core.Cloneable = (*Record)(nil)
-
-// CloneTuple implements core.Cloneable so records can pass through
-// provenance-instrumented Multiplex operators (inside the MU).
-func (r *Record) CloneTuple() core.Tuple {
-	cp := *r
-	cp.ResetProvenance()
-	return &cp
-}
+// Timestamp implements core.Tuple.
+func (r *Record) Timestamp() int64 { return r.Ts }
 
 // tupleMap maps tuples to values, identifying a tuple by its ID when the
 // inter-process algorithm assigned one and by reference otherwise. The two

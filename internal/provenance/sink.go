@@ -65,9 +65,10 @@ func AddCollector(b *query.Builder, name string, from *query.Node, onResult func
 // AddCollectorHorizon is AddCollector with an explicit flush horizon.
 func AddCollectorHorizon(b *query.Builder, name string, from *query.Node, horizon int64, onResult func(Result)) *Collector {
 	c := &Collector{OnResult: onResult, Store: b.ProvenanceStore(), Horizon: horizon}
+	// The collector only reads what reaches it, so it is declared ReadOnly.
 	node := b.AddCustom(name, 1, 0, func(ins, outs []*ops.Stream) (ops.Operator, error) {
 		return newCollectorOp(name, ins[0], c), nil
-	})
+	}).ReadOnly()
 	b.Connect(from, node)
 	return c
 }

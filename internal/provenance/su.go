@@ -35,37 +35,44 @@ type SUConfig struct {
 // SO stream — the pass-through copy) and the Map node (its output is the
 // unfolded stream U; connect it to a ProvenanceSink, a Send, or an MU).
 func AddSU(b *query.Builder, name string, from *query.Node, cfg SUConfig) (so, u *query.Node) {
+	mux := b.AddMultiplex(name + ".mux")
+	unfold := b.AddMap(name+".unfold", unfolder(cfg))
+	b.Connect(from, mux)
+	b.Connect(mux, unfold)
+	return mux, unfold
+}
+
+// unfolder returns the SU's unfold Map function, which emits one Record per
+// originating tuple of each delivering tuple. The traversal result lives on
+// the stack up to 32 originating tuples, so below that the records are the
+// only allocations. The clock is read only for a traversal observer.
+func unfolder(cfg SUConfig) func(t core.Tuple, emit func(core.Tuple)) {
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
 	}
-	mux := b.AddMultiplex(name + ".mux")
-	unfold := b.AddMap(name+".unfold", func(t core.Tuple, emit func(core.Tuple)) {
+	return func(t core.Tuple, emit func(core.Tuple)) {
 		var sinkID uint64
 		if m := core.MetaOf(t); m != nil {
 			sinkID = m.ID()
 		}
-		begin := now()
-		originating := core.FindProvenance(t)
+		var buf [32]core.Tuple
+		var originating []core.Tuple
 		if cfg.OnTraversal != nil {
+			begin := now()
+			originating = core.AppendProvenance(buf[:0], t)
 			cfg.OnTraversal(now().Sub(begin), len(originating))
+		} else {
+			originating = core.AppendProvenance(buf[:0], t)
 		}
+		ts := t.Timestamp()
 		for _, o := range originating {
-			rec := &Record{
-				Base:   core.NewBase(t.Timestamp()),
-				SinkID: sinkID,
-				OrigTs: o.Timestamp(),
-				Sink:   t,
-				Orig:   o,
-			}
+			rec := &Record{Ts: ts, SinkID: sinkID, OrigTs: o.Timestamp(), Sink: t, Orig: o}
 			if om := core.MetaOf(o); om != nil {
 				rec.OrigID = om.ID()
 				rec.OrigKind = om.Kind()
 			}
 			emit(rec)
 		}
-	})
-	b.Connect(from, mux)
-	b.Connect(mux, unfold)
-	return mux, unfold
+	}
 }

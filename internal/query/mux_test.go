@@ -246,6 +246,45 @@ func TestMuxTwoCustomsClone(t *testing.T) {
 	p.expect(false, "c1", "c2")
 }
 
+// TestMuxReadOnlyCustomsShare: the SU's mux on a sending instance feeds a
+// Send and the unfolding Map whose records a second Send ships. Custom
+// nodes declared ReadOnly, as Send is, never write, so the mux shares.
+func TestMuxReadOnlyCustomsShare(t *testing.T) {
+	p := newMuxProbe(t, &core.Genealog{})
+	mux := p.b.AddMultiplex("su.mux")
+	unfold := p.b.AddMap("su.unfold", func(tp core.Tuple, emit func(core.Tuple)) {
+		p.record("su.unfold", tp)
+		emit(vt(tp.Timestamp(), "rec", 0))
+	})
+	p.b.Connect(p.src, mux)
+	p.b.Connect(mux, p.custom("send-main").ReadOnly())
+	p.b.Connect(mux, unfold)
+	p.b.Connect(unfold, p.custom("send-u").ReadOnly())
+	p.run()
+	p.expect(true, "send-main", "su.unfold")
+}
+
+// TestMuxReadOnlyCustomCountsNoWriter: a ReadOnly Custom beside one writer
+// leaves one writer, so the mux shares; beside two, the mux still clones.
+func TestMuxReadOnlyCustomCountsNoWriter(t *testing.T) {
+	p := newMuxProbe(t, &core.Genealog{})
+	mux := p.b.AddMultiplex("mux")
+	p.b.Connect(p.src, mux)
+	p.b.Connect(mux, p.custom("reader").ReadOnly())
+	p.b.Connect(mux, p.custom("writer"))
+	p.run()
+	p.expect(true, "reader", "writer")
+
+	p = newMuxProbe(t, &core.Genealog{})
+	mux = p.b.AddMultiplex("mux")
+	p.b.Connect(p.src, mux)
+	p.b.Connect(mux, p.custom("reader").ReadOnly())
+	p.b.Connect(mux, p.custom("w1"))
+	p.b.Connect(mux, p.custom("w2"))
+	p.run()
+	p.expect(false, "reader", "w1", "w2")
+}
+
 // TestMuxNestedJudgedOnOuterWalk: a mux inside another mux's branch is judged
 // on the walk from the object's creator, through both muxes.
 func TestMuxNestedJudgedOnOuterWalk(t *testing.T) {

@@ -337,8 +337,9 @@ func forwards(k NodeKind) bool {
 // unless two of them could write it. For every node creating objects (every
 // node that does not forward its input), the walk follows its outputs
 // through forwarding nodes and counts, per path, the arrivals at a possible
-// writer: an Aggregate (N) or a Custom node (unknown writes; Send and the
-// provenance collector are Custom). Sinks and Joins only read. A Map's own
+// writer: an Aggregate (N) or a Custom node not declared ReadOnly (unknown
+// writes). Sinks, Joins and ReadOnly Customs (Send, the provenance
+// collector) only read. A Map's own
 // outputs need no walk of their own: any walk reaching the Map covers them.
 // Each Multiplex takes the largest count of the walks through it, and the
 // instrumenter turns it into the decision: NP never clones, GL clones from
@@ -363,7 +364,7 @@ func (b *Builder) decideMultiplexClones(outE map[*Node][]edge) {
 	}
 	count = func(n *Node) int8 {
 		switch {
-		case n.kind == KindAggregate || n.kind == KindCustom:
+		case n.kind == KindAggregate || n.kind == KindCustom && !n.readOnly:
 			return 1
 		case !forwards(n.kind):
 			return 0

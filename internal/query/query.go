@@ -163,6 +163,9 @@ type Node struct {
 	factory  CustomFactory
 	nIn      int // custom: required input count (-1 = any)
 	nOut     int // custom: required output count (-1 = any)
+	// readOnly marks a Custom node that never writes the tuples it
+	// consumes (see ReadOnly).
+	readOnly bool
 
 	// Rate paces a Source to about Rate tuples per second (0 = unlimited).
 	Rate float64
@@ -238,6 +241,18 @@ func (n *Node) ColumnarAgg(spec AggColSpec) *Node {
 // b.AddJoin(...).ColumnarJoin(spec).
 func (n *Node) ColumnarJoin(spec JoinColSpec) *Node {
 	n.joinCol = &spec
+	return n
+}
+
+// ReadOnly declares that a Custom node only reads the tuples it consumes,
+// meta-attributes included, and returns the node for chaining:
+// b.AddCustom(...).ReadOnly(). The planner then no longer counts it as a
+// possible writer when it decides whether a Multiplex upstream must clone
+// (see decideMultiplexClones), so the node may receive an object a sibling
+// branch also holds. An undeclared Custom node counts as a writer. Other
+// kinds are classified by kind, and the mark has no effect on them.
+func (n *Node) ReadOnly() *Node {
+	n.readOnly = true
 	return n
 }
 

@@ -30,16 +30,22 @@ import (
 //	meta: u8 kind, i64 ts, i64 stim, u64 id, u16 annotation count, u64...
 //	body: the tuple's MarshalWire output
 //
+// Only types carrying meta-attributes (core.Traceable ones, and heartbeats)
+// have the meta header. A meta-less type — the unfolded-stream record —
+// has tag and body only, and its MarshalWire writes its own event time.
 // A tuple whose baseline annotation holds more IDs than the u16 count can
 // say fails to encode.
 type BinaryCodec struct{}
 
 var _ Codec = BinaryCodec{}
 
-// WireTuple is implemented by tuples that can serialise their payload
-// (everything except the embedded core.Base, which the codec handles).
+// WireTuple is implemented by tuples that can serialise their payload. A
+// tuple embedding core.Base leaves the meta-attributes, event time included,
+// to the codec's meta header and marshals the rest. A tuple without
+// meta-attributes (not core.Traceable) gets no header and marshals
+// everything it needs back, its event time included.
 type WireTuple interface {
-	core.Traceable
+	core.Tuple
 	// MarshalWire appends the payload encoding to buf.
 	MarshalWire(buf []byte) ([]byte, error)
 	// UnmarshalWire decodes the payload; data holds exactly the bytes
@@ -255,25 +261,36 @@ func (d *binaryDecoder) readFrame(n uint32) (core.Tuple, error) {
 	if _, err := io.ReadFull(d.r, d.buf); err != nil {
 		return nil, fmt.Errorf("transport: binary decode: truncated frame: %w", err)
 	}
-	tag := binary.LittleEndian.Uint16(d.buf)
-	rest := d.buf[2:]
+	return decodeFrame(d.buf)
+}
+
+// decodeFrame decodes one frame past its length prefix: the type tag, the
+// meta header of a type that carries meta-attributes, and the body.
+func decodeFrame(frame []byte) (core.Tuple, error) {
+	tag := binary.LittleEndian.Uint16(frame)
+	body := frame[2:]
+	var t core.Tuple
+	var wt WireTuple
 	if tag == heartbeatTag {
-		hb := core.NewHeartbeat(0)
-		if _, err := readMeta(rest, hb.ProvMeta()); err != nil {
+		t = core.NewHeartbeat(0)
+	} else {
+		var ok bool
+		if wt, ok = newOf(tag); !ok {
+			return nil, fmt.Errorf("transport: binary decode: unknown type tag %d", tag)
+		}
+		t = wt
+	}
+	if m := core.MetaOf(t); m != nil {
+		used, err := readMeta(body, m)
+		if err != nil {
 			return nil, err
 		}
-		return hb, nil
+		body = body[used:]
 	}
-	t, ok := newOf(tag)
-	if !ok {
-		return nil, fmt.Errorf("transport: binary decode: unknown type tag %d", tag)
-	}
-	used, err := readMeta(rest, t.ProvMeta())
-	if err != nil {
-		return nil, err
-	}
-	if err := t.UnmarshalWire(rest[used:]); err != nil {
-		return nil, fmt.Errorf("transport: binary decode %T: %w", t, err)
+	if wt != nil {
+		if err := wt.UnmarshalWire(body); err != nil {
+			return nil, fmt.Errorf("transport: binary decode %T: %w", t, err)
+		}
 	}
 	return t, nil
 }
@@ -285,21 +302,12 @@ const maxWireAnnotation = math.MaxUint16
 // appendMeta writes the wire-relevant Meta fields (same content as the gob
 // path: kind, ts, stimulus, ID, baseline annotation; pointers are dropped).
 // The annotation must hold at most maxWireAnnotation IDs.
-func appendMeta(buf []byte, m *core.Meta, ts int64) []byte {
-	var kind core.Kind
-	var stim int64
-	var id uint64
-	var ann []uint64
-	if m != nil {
-		kind = m.Kind()
-		stim = m.Stimulus()
-		id = m.ID()
-		ann = m.Annotation()
-	}
-	buf = append(buf, byte(kind))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ts))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(stim))
-	buf = binary.LittleEndian.AppendUint64(buf, id)
+func appendMeta(buf []byte, m *core.Meta) []byte {
+	ann := m.Annotation()
+	buf = append(buf, byte(m.Kind()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Timestamp()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Stimulus()))
+	buf = binary.LittleEndian.AppendUint64(buf, m.ID())
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ann)))
 	for _, a := range ann {
 		buf = binary.LittleEndian.AppendUint64(buf, a)
@@ -375,10 +383,11 @@ func ReadFloat64(data []byte) (float64, []byte, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(data)), data[8:], nil
 }
 
-// AppendTupleWire encodes a registered tuple — tag, meta, payload, prefixed
-// with its own length: one frame of the codec — so WireTuple implementations
-// can nest tuples (the unfolded-stream Record carries its sink and
-// originating tuples). A nil tuple encodes as a zero length.
+// AppendTupleWire encodes a registered tuple — tag, meta header if the type
+// carries meta-attributes, payload, prefixed with its own length: one frame
+// of the codec — so WireTuple implementations can nest tuples (the
+// unfolded-stream Record carries its sink and originating tuples). A nil
+// tuple encodes as a zero length.
 func AppendTupleWire(buf []byte, t core.Tuple) ([]byte, error) {
 	if t == nil {
 		return binary.LittleEndian.AppendUint32(buf, 0), nil
@@ -403,7 +412,9 @@ func AppendTupleWire(buf []byte, t core.Tuple) ([]byte, error) {
 	lenAt := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // patched below
 	buf = binary.LittleEndian.AppendUint16(buf, tag)
-	buf = appendMeta(buf, m, t.Timestamp())
+	if m != nil {
+		buf = appendMeta(buf, m)
+	}
 	if wt != nil {
 		var err error
 		buf, err = wt.MarshalWire(buf)
@@ -432,26 +443,9 @@ func ReadTupleWire(data []byte) (core.Tuple, []byte, error) {
 	if len(data) < int(n) {
 		return nil, nil, fmt.Errorf("transport: nested tuple truncated (%d < %d)", len(data), n)
 	}
-	frame, rest := data[:n], data[n:]
-	tag := binary.LittleEndian.Uint16(frame)
-	body := frame[2:]
-	if tag == heartbeatTag {
-		hb := core.NewHeartbeat(0)
-		if _, err := readMeta(body, hb.ProvMeta()); err != nil {
-			return nil, nil, err
-		}
-		return hb, rest, nil
-	}
-	t, ok := newOf(tag)
-	if !ok {
-		return nil, nil, fmt.Errorf("transport: nested decode: unknown type tag %d", tag)
-	}
-	used, err := readMeta(body, t.ProvMeta())
+	t, err := decodeFrame(data[:n])
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := t.UnmarshalWire(body[used:]); err != nil {
-		return nil, nil, err
-	}
-	return t, rest, nil
+	return t, data[n:], nil
 }

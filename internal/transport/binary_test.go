@@ -191,7 +191,7 @@ func TestBinaryCodecMalformedFrames(t *testing.T) {
 	pipe = NewPipe(0)
 	var frame []byte
 	frame = append(frame, 0xEE, 0xEE) // tag 0xEEEE
-	frame = appendMeta(frame, nil, 0)
+	frame = appendMeta(frame, new(core.Meta))
 	hdr := []byte{byte(len(frame)), 0, 0, 0}
 	pipe.Write(hdr)
 	pipe.Write(frame)
@@ -390,12 +390,13 @@ func TestReadTupleWireOneByteFrame(t *testing.T) {
 // must return an error or a tuple, never panic, and a decoded tuple must
 // re-encode to a frame that decodes to the same bytes again.
 func FuzzReadTupleWire(f *testing.F) {
-	registerBinaryTest()
+	registerPlain()
 	f.Add([]byte{0x01, 0x00, 0x00, 0x00, 0x07})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00})
 	for _, tup := range []core.Tuple{
 		&bwTuple{Base: core.NewBase(3), A: 1, B: 2},
 		&bwNested{Base: core.NewBase(4), Inner: &bwTuple{Base: core.NewBase(2), A: 5}},
+		&bwNested{Base: core.NewBase(4), Inner: &plainTuple{Ts: 2, V: 5}},
 		core.NewHeartbeat(8),
 	} {
 		seed, err := AppendTupleWire(nil, tup)
@@ -460,5 +461,90 @@ func TestBinaryAnnotationLimit(t *testing.T) {
 	out := got.(*bwTuple)
 	if out.A != 5 || !reflect.DeepEqual(out.ProvMeta().Annotation(), ann[:maxWireAnnotation]) {
 		t.Fatalf("round trip of %d IDs lost data: A=%d, %d IDs", maxWireAnnotation, out.A, len(out.ProvMeta().Annotation()))
+	}
+}
+
+// plainTuple carries no meta-attributes: it is not core.Traceable and
+// marshals its own event time.
+type plainTuple struct {
+	Ts int64
+	V  int32
+}
+
+func (t *plainTuple) Timestamp() int64 { return t.Ts }
+
+func (t *plainTuple) MarshalWire(buf []byte) ([]byte, error) {
+	return AppendInt32(AppendInt64(buf, t.Ts), t.V), nil
+}
+
+func (t *plainTuple) UnmarshalWire(data []byte) error {
+	var err error
+	if t.Ts, data, err = ReadInt64(data); err != nil {
+		return err
+	}
+	t.V, _, err = ReadInt32(data)
+	return err
+}
+
+var registerPlainOnce sync.Once
+
+func registerPlain() {
+	registerBinaryTest()
+	registerPlainOnce.Do(func() {
+		Register(&plainTuple{})
+		RegisterBinary(203, func() WireTuple { return &plainTuple{} })
+	})
+}
+
+// TestMetaLessTupleRoundTrip: a registered type without meta-attributes
+// crosses both codecs, per tuple, batched and nested, and its binary frame
+// has no meta header: length, tag and body only.
+func TestMetaLessTupleRoundTrip(t *testing.T) {
+	registerPlain()
+	frame, err := AppendTupleWire(nil, &plainTuple{Ts: 5, V: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 4 + 2 + 8 + 4; len(frame) != want {
+		t.Fatalf("meta-less frame is %d bytes, want %d (no meta header)", len(frame), want)
+	}
+	for _, codec := range []Codec{BinaryCodec{}, GobCodec{}} {
+		t.Run(reflect.TypeOf(codec).Name(), func(t *testing.T) {
+			var wire bytes.Buffer
+			enc, dec := codec.NewEncoder(&wire), codec.NewDecoder(&wire)
+			if err := enc.Encode(&plainTuple{Ts: 5, V: 6}); err != nil {
+				t.Fatal(err)
+			}
+			batch := []core.Tuple{&plainTuple{Ts: 7, V: 8}, core.NewHeartbeat(8)}
+			if err := enc.(BatchEncoder).EncodeBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			got, err := dec.Decode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p, ok := got.(*plainTuple); !ok || *p != (plainTuple{Ts: 5, V: 6}) || core.MetaOf(got) != nil {
+				t.Fatalf("decoded %#v, want plainTuple{5, 6} without meta", got)
+			}
+			gotBatch, err := dec.(BatchDecoder).DecodeBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gotBatch) != 2 || *gotBatch[0].(*plainTuple) != (plainTuple{Ts: 7, V: 8}) ||
+				!core.IsHeartbeat(gotBatch[1]) || gotBatch[1].Timestamp() != 8 {
+				t.Fatalf("decoded batch %v", gotBatch)
+			}
+		})
+	}
+	nested, err := AppendTupleWire(nil, &bwNested{Base: core.NewBase(9), Inner: &plainTuple{Ts: 3, V: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := ReadTupleWire(nested)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inner, ok := got.(*bwNested).Inner.(*plainTuple); !ok || *inner != (plainTuple{Ts: 3, V: 4}) {
+		t.Fatalf("nested meta-less tuple decoded as %#v", got.(*bwNested).Inner)
 	}
 }

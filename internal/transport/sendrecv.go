@@ -151,11 +151,13 @@ func (r *Receive) Run(ctx context.Context) error {
 
 // AddSend adds a Send node consuming from and writing to enc (closing
 // closer, if non-nil, at end-of-stream). The node uses the builder's
-// instrumenter.
+// instrumenter. It is declared query.Node.ReadOnly: a Send encodes what it
+// receives, and under GL its OnSend writes nothing, because every tuple
+// already carries the ID drawn at its creation.
 func AddSend(b *query.Builder, name string, from *query.Node, enc Encoder, closer io.Closer) *query.Node {
 	node := b.AddCustom(name, 1, 0, func(ins, outs []*ops.Stream) (ops.Operator, error) {
 		return NewSend(name, ins[0], enc, closer, b.Instrumenter()), nil
-	})
+	}).ReadOnly()
 	b.Connect(from, node)
 	return node
 }
